@@ -14,9 +14,7 @@ from .basis import (
     SECTOR_PRODUCT,
     apply_two_photon_extensions,
     build_entanglement_unit,
-    close_under_couplings,
     enumerate_basis,
-    extend_for_pulses,
     extend_two_photon,
     ket_name,
     parse_ket_spec,

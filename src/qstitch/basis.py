@@ -8,14 +8,15 @@ occupation 0 (absorbed) or 1 (present).
 
 The enumeration is deterministic for a given scheme: within each sector,
 kets sort by (family declaration order, j, g, occupation, stitch labels).
-Extensions (pulse closure, two-photon stitching) either rebuild the sorted
-order or append at the entangled tail without disturbing existing indices.
+A scenario basis is one closure of the enumerated units under pulse
+partners and gated coupling steps, sorted once; two-photon stitching then
+appends at the entangled tail without disturbing existing indices.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Union
 
 from .scheme import (
@@ -92,17 +93,12 @@ def ket_name(ket: BasisKet) -> str:
 
     Examples: ``Z.S0``, ``Z.S0+wZ01``, ``Z.S1;0_wZ01``, ``Z.S1;0_wZ01+push``.
     """
-    if ket.sector == SECTOR_PRODUCT:
-        name = ket.matter.ref
-        for m, n in ket.photons:
-            name += f"+{m}" if n == 1 else f"+{n}*{m}"
-        return name
-    stitch_part = ",".join(f"{ket.occupation(m)}_{m}" for m in ket.stitches)
-    name = f"{ket.matter.ref};{stitch_part}"
+    name = ket.matter.ref
+    if ket.sector == SECTOR_ENTANGLED:
+        name += ";" + ",".join(f"{ket.occupation(m)}_{m}" for m in ket.stitches)
     for m, n in ket.photons:
-        if m in ket.stitches:
-            continue
-        name += f"+{m}" if n == 1 else f"+{n}*{m}"
+        if m not in ket.stitches:
+            name += f"+{m}" if n == 1 else f"+{n}*{m}"
     return name
 
 
@@ -154,17 +150,6 @@ class BasisSet:
         ket = parse_ket_spec(spec, self)
         return self.index[ket]
 
-    def sort_key(self, ket: BasisKet):
-        fam = self.family_rank.get(ket.matter.family, len(self.family_rank))
-        return (
-            _SECTOR_RANK[ket.sector],
-            fam,
-            ket.matter.j,
-            ket.matter.g,
-            ket.photons,
-            ket.stitches,
-        )
-
 
 def parse_ket_spec(spec: str, basis: BasisSet) -> BasisKet:
     """Parse a canonical ket name against a basis' level/mode tables."""
@@ -215,6 +200,34 @@ def parse_ket_spec(spec: str, basis: BasisSet) -> BasisKet:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_basis(s: Scheme, kets: Iterable[BasisKet], modes: Mapping[str, PhotonMode]) -> BasisSet:
+    """The basis over ``kets`` with the scheme's tables, in canonical order:
+    sector, family declaration order, j, g, occupation, stitch labels."""
+    ranks = s.family_rank
+
+    def key(k: BasisKet):
+        return (_SECTOR_RANK[k.sector], ranks.get(k.matter.family, len(ranks)),
+                k.matter.j, k.matter.g, k.photons, k.stitches)
+
+    return BasisSet(
+        kets=tuple(sorted(kets, key=key)), modes=modes, levels=s.levels, family_rank=ranks,
+        max_photons=s.max_photons, resonance_tolerance=s.resonance_tolerance,
+    )
+
+
+def _unit_kets(
+    ground: LevelLabel, excited: LevelLabel, mode: PhotonMode, modes: Mapping[str, PhotonMode]
+) -> tuple[BasisKet, ...]:
+    """The four kets of the coherence cell over one gap, in unit order:
+    |excited> x |0>, |ground> x |1>, |ground;1>, |excited;0>."""
+    return (
+        make_ket(excited, {}, SECTOR_PRODUCT, (), modes),
+        make_ket(ground, {mode.id: 1}, SECTOR_PRODUCT, (), modes),
+        make_ket(ground, {mode.id: 1}, SECTOR_ENTANGLED, (mode.id,), modes),
+        make_ket(excited, {}, SECTOR_ENTANGLED, (mode.id,), modes),
+    )
+
+
 def build_entanglement_unit(
     ground: LevelLabel,
     excited: LevelLabel,
@@ -234,16 +247,12 @@ def build_entanglement_unit(
             f"{mode.id} by {detuning:g} (tolerance {tolerance:g})"
         )
     modes = {mode.id: mode}
-    kets = (
-        make_ket(excited, {}, SECTOR_PRODUCT, (), modes),
-        make_ket(ground, {mode.id: 1}, SECTOR_PRODUCT, (), modes),
-        make_ket(ground, {mode.id: 1}, SECTOR_ENTANGLED, (mode.id,), modes),
-        make_ket(excited, {}, SECTOR_ENTANGLED, (mode.id,), modes),
+    ranks = {ground.family: 0}
+    ranks.setdefault(excited.family, 1)
+    return BasisSet(
+        kets=_unit_kets(ground, excited, mode, modes), modes=modes,
+        levels=(ground, excited), family_rank=ranks,
     )
-    ranks = {}
-    for lv in (ground, excited):
-        ranks.setdefault(lv.family, len(ranks))
-    return BasisSet(kets=kets, modes=modes, levels=(ground, excited), family_rank=ranks)
 
 
 def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
@@ -255,14 +264,12 @@ def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
     gaps).
     """
     tol = s.resonance_tolerance
+    grounds = {fam: s.family_ground(fam) for fam in s.families}
     units: list[tuple[LevelLabel, LevelLabel, PhotonMode]] = []
     for m in s.modes:
-        for fam in s.families:
-            ground = s.family_ground(fam)
+        for fam, ground in grounds.items():
             for lv in s.levels_of(fam):
-                if lv == ground:
-                    continue
-                if abs((lv.energy - ground.energy) - m.omega) <= tol:
+                if lv != ground and abs((lv.energy - ground.energy) - m.omega) <= tol:
                     units.append((ground, lv, m))
     for c in s.couplings:
         if c.kind != "dipole" or c.mode is None:
@@ -271,6 +278,20 @@ def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
         if abs((hi.energy - lo.energy) - c.mode.omega) <= tol:
             units.append((lo, hi, c.mode))
     return units
+
+
+def _seed_kets(s: Scheme, modes: Mapping[str, PhotonMode]) -> dict[BasisKet, None]:
+    """The kets of every gap unit, plus the bare ground of each untouched family."""
+    pool: dict[BasisKet, None] = {}
+    for ground, excited, mode in _gap_units(s):
+        for ket in _unit_kets(ground, excited, mode, modes):
+            pool.setdefault(ket, None)
+    covered = {k.matter.ref for k in pool}
+    for fam in s.families:
+        ground = s.family_ground(fam)
+        if ground.ref not in covered:
+            pool.setdefault(make_ket(ground, {}, SECTOR_PRODUCT, (), modes), None)
+    return pool
 
 
 def enumerate_basis(s: Scheme) -> BasisSet:
@@ -282,62 +303,20 @@ def enumerate_basis(s: Scheme) -> BasisSet:
     non-entangled sector first.
     """
     modes = {m.id: m for m in s.modes}
-    pool: dict[BasisKet, None] = {}
-    for ground, excited, mode in _gap_units(s):
-        for ket in (
-            make_ket(excited, {}, SECTOR_PRODUCT, (), modes),
-            make_ket(ground, {mode.id: 1}, SECTOR_PRODUCT, (), modes),
-            make_ket(ground, {mode.id: 1}, SECTOR_ENTANGLED, (mode.id,), modes),
-            make_ket(excited, {}, SECTOR_ENTANGLED, (mode.id,), modes),
-        ):
-            pool.setdefault(ket, None)
-
-    covered = {k.matter.ref for k in pool}
-    for fam in s.families:
-        ground = s.family_ground(fam)
-        if ground.ref not in covered:
-            pool.setdefault(make_ket(ground, {}, SECTOR_PRODUCT, (), modes), None)
-
-    ranks = s.family_rank
-    draft = BasisSet(
-        kets=(), modes=modes, levels=s.levels, family_rank=ranks,
-        max_photons=s.max_photons, resonance_tolerance=s.resonance_tolerance,
-    )
-    ordered = tuple(sorted(pool, key=draft.sort_key))
-    return BasisSet(
-        kets=ordered, modes=modes, levels=s.levels, family_rank=ranks,
-        max_photons=s.max_photons, resonance_tolerance=s.resonance_tolerance,
-    )
+    return _sorted_basis(s, _seed_kets(s, modes), modes)
 
 
-def extend_for_pulses(b: BasisSet, pulse_modes: Iterable[PhotonMode]) -> BasisSet:
-    """Close a basis under scheduled photon injections.
-
-    For each pulse mode, every ket gains a photon-added partner (same
-    sector, same stitch labels) up to the per-mode occupation cap. The
-    union is re-sorted, so indices are stable only after closure.
-    """
-    modes = dict(b.modes)
-    pool: dict[BasisKet, None] = {k: None for k in b.kets}
-    for mode in pulse_modes:
-        modes.setdefault(mode.id, mode)
-        for ket in list(pool):
-            occ = dict(ket.photons)
-            if occ.get(mode.id, 0) >= b.max_photons:
-                continue
-            occ[mode.id] = occ.get(mode.id, 0) + 1
-            pool.setdefault(
-                make_ket(ket.matter, occ, ket.sector, ket.stitches, modes), None
-            )
-    draft = BasisSet(
-        kets=(), modes=modes, levels=b.levels, family_rank=b.family_rank,
-        max_photons=b.max_photons, resonance_tolerance=b.resonance_tolerance,
-    )
-    ordered = tuple(sorted(pool, key=draft.sort_key))
-    return BasisSet(
-        kets=ordered, modes=modes, levels=b.levels, family_rank=b.family_rank,
-        max_photons=b.max_photons, resonance_tolerance=b.resonance_tolerance,
-    )
+def _shifted(ket: BasisKet, mode_id: Optional[str], delta: int, cap: int) -> Optional[dict]:
+    """``ket``'s photon record with ``delta`` quanta added to mode ``mode_id``
+    (unchanged for None); None when that leaves [0, cap]."""
+    occ = dict(ket.photons)
+    if mode_id is None:
+        return occ
+    n = occ.get(mode_id, 0) + delta
+    if not 0 <= n <= cap:
+        return None
+    occ[mode_id] = n
+    return occ
 
 
 def photon_partner(b: BasisSet, ket: BasisKet, mode: PhotonMode) -> Optional[int]:
@@ -347,14 +326,32 @@ def photon_partner(b: BasisSet, ket: BasisKet, mode: PhotonMode) -> Optional[int
     per-mode occupation cap. Pulse injection and reachability layering both
     move kets through this same relabeling.
     """
-    occ = dict(ket.photons)
-    if occ.get(mode.id, 0) >= b.max_photons:
+    occ = _shifted(ket, mode.id, 1, b.max_photons)
+    if occ is None:
         return None
-    occ[mode.id] = occ.get(mode.id, 0) + 1
-    modes = dict(b.modes)
-    modes.setdefault(mode.id, mode)
-    partner = make_ket(ket.matter, occ, ket.sector, ket.stitches, modes)
+    partner = make_ket(ket.matter, occ, ket.sector, ket.stitches, {mode.id: mode, **b.modes})
     return b.index.get(partner)
+
+
+def _stitched_ket(b: BasisSet, root: BasisKet, second: PhotonMode) -> BasisKet:
+    """The ket stitching ``second`` onto ``root``: the same-family level one
+    quantum above the root's, with every stitch quantum absorbed. Raises
+    ValueError when no level sits there within the resonance tolerance."""
+    target = root.matter.energy + second.omega
+    candidates = [
+        lv
+        for lv in b.levels
+        if lv.family == root.matter.family
+        and abs(lv.energy - target) <= b.resonance_tolerance
+    ]
+    if not candidates:
+        raise ValueError(
+            f"no {root.matter.family}-family level within tolerance of "
+            f"{target:g} to absorb {second.id}"
+        )
+    upper = min(candidates, key=lambda lv: (abs(lv.energy - target), lv.j, lv.g))
+    occ = {m: n for m, n in root.photons if m != second.id}
+    return make_ket(upper, occ, SECTOR_ENTANGLED, root.stitches + (second.id,), b.modes)
 
 
 def extend_two_photon(b: BasisSet, root: BasisKet, second: PhotonMode) -> BasisSet:
@@ -373,138 +370,80 @@ def extend_two_photon(b: BasisSet, root: BasisKet, second: PhotonMode) -> BasisS
     if second.id in root.stitches:
         raise ValueError(f"mode {second.id!r} is already a stitch label of the root")
 
-    target = root.matter.energy + second.omega
-    candidates = [
-        lv
-        for lv in b.levels
-        if lv.family == root.matter.family
-        and abs(lv.energy - target) <= b.resonance_tolerance
-    ]
-    if not candidates:
-        raise ValueError(
-            f"no {root.matter.family}-family level within tolerance of "
-            f"{target:g} to absorb {second.id}"
-        )
-    upper = min(candidates, key=lambda lv: (abs(lv.energy - target), lv.j, lv.g))
-
-    modes = dict(b.modes)
-    modes.setdefault(second.id, second)
-    occ = {m: n for m, n in root.photons if m != second.id}
-    new_ket = make_ket(upper, occ, SECTOR_ENTANGLED, root.stitches + (second.id,), modes)
+    new_ket = _stitched_ket(b, root, second)
     if new_ket in b.index:
         raise ValueError(f"ket {ket_name(new_ket)} already present")
-    return BasisSet(
-        kets=b.kets + (new_ket,), modes=modes, levels=b.levels,
-        family_rank=b.family_rank, max_photons=b.max_photons,
-        resonance_tolerance=b.resonance_tolerance,
-    )
+    return replace(b, kets=b.kets + (new_ket,), modes={second.id: second, **b.modes})
 
 
-def stitch_consistent(ket: BasisKet, b: BasisSet) -> bool:
-    """Check that a ket's stitch labels unwind onto declared levels.
+def _stitch_consistent(ket: BasisKet, s: Scheme, modes: Mapping[str, PhotonMode]) -> bool:
+    """Check that a ket's stitch labels unwind onto declared level energies.
 
     Walking the stitch list backwards, every absorbed quantum (occupation
     0) must step down onto some level's energy and every pending quantum
     (occupation 1) must step up onto one, within the resonance tolerance.
     Kets failing this are not gap-related and are excluded from closure.
     """
-    tol = b.resonance_tolerance
-    energies = [lv.energy for lv in b.levels]
+    tol = s.resonance_tolerance
     e = ket.matter.energy
     for m in reversed(ket.stitches):
-        probe = e + b.modes[m].omega if ket.occupation(m) else e - b.modes[m].omega
-        if not any(abs(probe - x) <= tol for x in energies):
+        probe = e + modes[m].omega if ket.occupation(m) else e - modes[m].omega
+        if not any(abs(probe - lv.energy) <= tol for lv in s.levels):
             return False
         if not ket.occupation(m):
             e = probe
     return True
 
 
-def close_under_couplings(b: BasisSet, s: Scheme) -> BasisSet:
-    """Close a basis under the gated steps of the declared couplings.
-
-    A dipole coupling steps a ket to the other endpoint's matter level
-    while moving one quantum in its mode; a spin-orbit coupling swaps the
-    matter level at fixed occupations. Steps keep the sector and stitch
-    labels, must pass the energy gate, and must stay stitch-consistent.
-    This is how spectator-photon kets (one quantum absorbed, one pending)
-    enter the basis. The result is re-sorted.
-    """
-    modes = dict(b.modes)
-    pool: dict[BasisKet, None] = {k: None for k in b.kets}
-    legal = [
-        c
-        for c in s.couplings
-        if (dipole_level_violation if c.kind == "dipole" else spinorbit_level_violation)(
-            c.a, c.b
-        )
-        is None
-    ]
-
-    frontier = list(b.kets)
-    while frontier:
-        ket = frontier.pop()
-        for c in legal:
-            if ket.matter == c.a:
-                other = c.b
-            elif ket.matter == c.b:
-                other = c.a
-            else:
-                continue
-            candidates: list[BasisKet] = []
-            if c.kind == "dipole":
-                for sign in (1, -1):
-                    occ = dict(ket.photons)
-                    n = occ.get(c.mode.id, 0) + sign
-                    if not (0 <= n <= b.max_photons):
-                        continue
-                    occ[c.mode.id] = n
-                    candidates.append(make_ket(other, occ, ket.sector, ket.stitches, modes))
-            else:
-                candidates.append(
-                    make_ket(other, dict(ket.photons), ket.sector, ket.stitches, modes)
-                )
-            for cand in candidates:
-                if cand in pool:
-                    continue
-                if abs(cand.energy - ket.energy) > s.gate_tolerance:
-                    continue
-                if cand.stitches and not stitch_consistent(cand, b):
-                    continue
-                pool[cand] = None
-                frontier.append(cand)
-
-    draft = BasisSet(
-        kets=(), modes=modes, levels=b.levels, family_rank=b.family_rank,
-        max_photons=b.max_photons, resonance_tolerance=b.resonance_tolerance,
-    )
-    ordered = tuple(sorted(pool, key=draft.sort_key))
-    return BasisSet(
-        kets=ordered, modes=modes, levels=b.levels, family_rank=b.family_rank,
-        max_photons=b.max_photons, resonance_tolerance=b.resonance_tolerance,
-    )
-
-
 def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
     """Build the full basis a scenario run needs.
 
-    Starts from the enumerated units, then alternates pulse closure and
-    coupling closure to a fixed point, and finally appends the stitched
-    upper kets of the two-photon extension at the entangled tail. For a
-    pulse-free scheme this reduces to coupling closure alone.
+    Starts from the enumerated units and closes them with one worklist:
+    each new ket gains its photon-added partner for every scheduled pulse
+    mode (same sector and stitch labels, up to the per-mode occupation
+    cap) and every gated step of a legal declared coupling at its matter
+    level. A dipole coupling steps to the other endpoint's level while
+    moving one quantum in its mode; a spin-orbit coupling swaps the level
+    at fixed occupations. Coupling steps keep the sector and stitch
+    labels, must pass the energy gate, and must stay stitch-consistent;
+    this is how spectator-photon kets (one quantum absorbed, one pending)
+    enter the basis. The closure is sorted once, and the stitched upper
+    kets of the two-photon extension are appended at the entangled tail.
     """
-    b = enumerate_basis(s)
-    pulse_modes = [p.mode for p in s.pulses]
-    while True:
-        n0 = len(b)
-        if pulse_modes:
-            b = extend_for_pulses(b, pulse_modes)
-        b = close_under_couplings(b, s)
-        if len(b) == n0:
-            break
-    if two_photon:
-        b = apply_two_photon_extensions(b, s)
-    return b
+    modes = {m.id: m for m in s.modes}
+    cap = s.max_photons
+    # matter level -> (other level, mode, quanta moved) of each legal coupling step
+    steps: dict[LevelLabel, list[tuple[LevelLabel, Optional[str], int]]] = {}
+    for c in s.couplings:
+        dipole = c.kind == "dipole"
+        if (dipole_level_violation if dipole else spinorbit_level_violation)(c.a, c.b) is None:
+            shifts = [(c.mode.id, 1), (c.mode.id, -1)] if dipole else [(None, 0)]
+            for here, other in ((c.a, c.b), (c.b, c.a)):
+                steps.setdefault(here, []).extend((other, m, d) for m, d in shifts)
+
+    pool = _seed_kets(s, modes)
+    work = list(pool)
+    for ket in work:  # the worklist grows as it is walked; each ket is expanded once
+        found = []
+        for pulse in s.pulses:
+            occ = _shifted(ket, pulse.mode.id, 1, cap)
+            if occ is not None:
+                found.append(make_ket(ket.matter, occ, ket.sector, ket.stitches, modes))
+        for other, mode_id, delta in steps.get(ket.matter, ()):
+            occ = _shifted(ket, mode_id, delta, cap)
+            if occ is None:
+                continue
+            cand = make_ket(other, occ, ket.sector, ket.stitches, modes)
+            gated = abs(cand.energy - ket.energy) <= s.gate_tolerance
+            if gated and _stitch_consistent(cand, s, modes):
+                found.append(cand)
+        for cand in found:
+            if cand not in pool:
+                pool[cand] = None
+                work.append(cand)
+
+    b = _sorted_basis(s, pool, modes)
+    return apply_two_photon_extensions(b, s) if two_photon else b
 
 
 def apply_two_photon_extensions(
@@ -515,20 +454,25 @@ def apply_two_photon_extensions(
     Roots are entangled kets with all stitch quanta absorbed (all
     occupations zero); each mode that lifts a root's matter level onto
     another level of the same family appends the corresponding stitched
-    ket. Modes default to the scheme's scheduled pulses, so this is a
-    no-op for pulse-free schemes.
+    ket. Modes are taken in order, and kets stitched for one mode are
+    roots for the next. Modes default to the scheme's scheduled pulses,
+    so this is a no-op for pulse-free schemes.
     """
     if modes is None:
         modes = [p.mode for p in s.pulses]
-    out = b
+    table = dict(b.modes)
+    kets = dict.fromkeys(b.kets)
     for mode in modes:
-        for ket in list(out.kets):
-            if ket.sector != SECTOR_ENTANGLED or ket.photons:
-                continue
-            if mode.id in ket.stitches:
+        for root in list(kets):
+            if root.sector != SECTOR_ENTANGLED or root.photons or mode.id in root.stitches:
                 continue
             try:
-                out = extend_two_photon(out, ket, mode)
+                ket = _stitched_ket(b, root, mode)
             except ValueError:
                 continue
-    return out
+            if ket not in kets:
+                table.setdefault(mode.id, mode)
+                kets[ket] = None
+    if len(kets) == len(b):
+        return b
+    return replace(b, kets=tuple(kets), modes=table)

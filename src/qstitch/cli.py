@@ -93,7 +93,11 @@ def cmd_basis(args) -> int:
     scheme, _, _ = _load(args.scheme)
     b = basis_mod.enumerate_basis(scheme)
     if args.two_photon is not None:
-        modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
+        try:
+            modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return EXIT_DOMAIN
         b = basis_mod.apply_two_photon_extensions(b, scheme, modes)
     if args.full:
         b = scenario_basis(scheme)

@@ -78,9 +78,11 @@ class OperatorPair:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of H + V, cached for repeated propagation."""
         if self._eig is None:
-            # hermiticity is guaranteed by construction; assert before handing
+            # hermiticity is guaranteed by construction; check before handing
             # the matrix to a solver that silently assumes it
-            assert np.abs(self.V - self.V.conj().T).max() == 0.0
+            skew = np.abs(self.V - self.V.conj().T).max()
+            if skew != 0.0:
+                raise ValueError(f"coupling matrix V is not hermitian (max |V - V^H| = {skew:g})")
             w, q = np.linalg.eigh(np.diag(self.H).astype(complex) + self.V)
             self._eig = (w, q)
         return self._eig

@@ -31,9 +31,6 @@ class Edge:
     b: int
     kinds: tuple[str, ...]
 
-    def other(self, node: int) -> int:
-        return self.b if node == self.a else self.a
-
 
 @dataclass(frozen=True)
 class CouplingGraph:
@@ -41,13 +38,6 @@ class CouplingGraph:
 
     n: int
     edges: tuple[Edge, ...]
-
-    def neighbors(self, node: int) -> list[tuple[int, Edge]]:
-        out = []
-        for e in self.edges:
-            if e.a == node or e.b == node:
-                out.append((e.other(node), e))
-        return out
 
 
 @dataclass(frozen=True)

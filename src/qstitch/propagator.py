@@ -210,21 +210,27 @@ def evolve(
 ) -> Trajectory:
     """Run a full scenario: coherent segments alternated with lab transfers.
 
-    Pulses are injected at the first step boundary at or after their
-    scheduled time; detectors are checked every step. Threshold detectors
-    arm once their monitored population has been below threshold and fire
-    on the next upward crossing; each detector fires at most once per run.
-    On a collapse the trajectory ends at the event.
+    The run takes t_end / dt steps, which must be a whole number. Pulses
+    are injected at the first step boundary at or after their scheduled
+    time, so each must lie at or before the last boundary, t_end - dt.
+    Detectors are checked every step. Threshold detectors arm once their
+    monitored population has been below threshold and fire on the next
+    upward crossing; each detector fires at most once per run. On a
+    collapse the trajectory ends at the event.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError(f"t_end {t_end:g} is not a whole number of dt {dt:g} steps")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     times = [u.time for u in pulses]
     if any(t0 > t1 for t0, t1 in zip(times, times[1:])):
         raise ValueError("pulse times must be sorted")
-    if any(t < 0 or t > t_end for t in times):
-        raise ValueError("pulse times must lie within [0, t_end]")
+    last = t_end - dt
+    if any(t < 0 or t > last + 1e-12 for t in times):
+        raise ValueError(f"pulse times must lie within [0, t_end - dt] = [0, {last:g}]")
 
     b = op.basis
     h = np.diag(op.H).astype(complex) + op.V
@@ -249,7 +255,6 @@ def evolve(
     sample_energy = [_energy(state, h)]
     first_emission: Optional[EmissionEvent] = None
 
-    n_steps = int(round(t_end / dt))
     for step_i in range(1, n_steps + 1):
         emission: Optional[EmissionEvent] = None
         while pending and pending[0].time <= state.time + 1e-12:

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from qstitch.cli import main
 
 from conftest import SCHEMES
@@ -67,6 +69,11 @@ def test_basis_json_format(capsys):
     assert all("energy" in row for row in data["kets"])
 
 
+def test_basis_unknown_two_photon_mode_exits_one(capsys):
+    assert main(["basis", ONE, "--two-photon", "NOSUCH"]) == 1
+    assert capsys.readouterr().err == "error: unknown mode 'NOSUCH'\n"
+
+
 def test_paths_one_photon_unreachable(capsys):
     assert main(["paths", ONE, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -93,6 +100,18 @@ def test_paths_trivial_when_from_equals_to(capsys):
 
 def test_paths_unknown_ket_exits_one(capsys):
     assert main(["paths", ONE, "--from", "Z.S9", "--to", "E.S0+wE01"]) == 1
+
+
+@pytest.mark.parametrize(
+    "scheme, flags",
+    [(TWO, ["--t-end", "200"]), (ONE, ["--t-end", "1.0", "--dt", "0.4"])],
+    ids=["pulse-at-t-end", "t-end-not-whole-steps"],
+)
+def test_evolve_rejects_runs_that_would_drop_a_pulse(tmp_path, capsys, scheme, flags):
+    assert main(["evolve", scheme, "--out", str(tmp_path / "r"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.report.json").exists()
 
 
 def test_evolve_reports_are_seed_deterministic(tmp_path, capsys):

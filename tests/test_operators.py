@@ -1,8 +1,10 @@
 """Selection rules, operator assembly, gate soundness."""
 
 import numpy as np
+import pytest
 
 from qstitch import (
+    OperatorPair,
     assemble,
     build_entanglement_unit,
     enumerate_basis,
@@ -110,6 +112,15 @@ def test_zero_couplings_give_zero_matrix():
     op = assemble(b, s)
     assert np.all(op.V == 0)
     assert np.allclose(op.H, [k.energy for k in b.kets])
+
+
+def test_eig_rejects_non_hermitian_v(unit_scheme):
+    b = enumerate_basis(unit_scheme)
+    v = np.zeros((len(b), len(b)), dtype=complex)
+    v[0, 1] = 0.1
+    op = OperatorPair(basis=b, H=np.zeros(len(b)), V=v, gate=1e-3, entries=())
+    with pytest.raises(ValueError, match="not hermitian"):
+        op.eig()
 
 
 def test_four_ket_unit_matches_hand_built_matrix(unit_scheme):

@@ -235,6 +235,18 @@ def test_pulse_schedule_validated(two_level):
         evolve(c, op, pulses=[PulseDecl(mode=w, time=99.0)], t_end=10.0, dt=0.1)
 
 
+def test_evolve_rejects_a_pulse_it_would_drop(two_level):
+    b, op = _setup(two_level)
+    c = prepare(b, {"A.G+w": 1.0})
+    w = two_level.mode("w")
+    with pytest.raises(ValueError, match="whole number"):
+        evolve(c, op, t_end=1.0, dt=0.4)
+    # injection happens at step boundaries, the last of which is t_end - dt
+    for t in (1.2, 1.0):
+        with pytest.raises(ValueError, match="pulse times"):
+            evolve(c, op, pulses=[PulseDecl(mode=w, time=t)], t_end=1.2, dt=0.4)
+
+
 def test_energy_constant_between_pulses(two_photon):
     b = scenario_basis(two_photon)
     op = assemble(b, two_photon)
