@@ -24,6 +24,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import basis as basis_mod
 from . import pathways as paths_mod
 from .basis import BasisSet, ket_name, scenario_basis
@@ -96,7 +98,7 @@ def cmd_basis(args) -> int:
         try:
             modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
+            print(f"error: {_error_text(exc)}", file=sys.stderr)
             return EXIT_DOMAIN
         b = basis_mod.apply_two_photon_extensions(b, scheme, modes)
     if args.full:
@@ -143,7 +145,7 @@ def cmd_paths(args) -> int:
         start = b.find(getattr(args, "from"))
         target = b.find(args.to)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DOMAIN
     ok, witness = paths_mod.reachable(graph, b, start, target, pulses)
     all_paths, truncated = paths_mod.enumerate_qpaths(
@@ -189,17 +191,29 @@ def _parse_prepare(spec: str) -> dict[str, complex]:
     return out
 
 
+# Data rows formatted per write: the whole table at once would hold a
+# second copy of the trajectory as text.
+CSV_BLOCK = 32
+
+
 def _write_csv(path: Path, traj: Trajectory, watch: Optional[list[str]] = None) -> None:
     columns = list(range(len(traj.ket_names)))
     if watch:
         columns = [traj.ket_names.index(name) for name in watch]
+    # the bytes csv.writer gives for the same cells: numbers need no quoting
+    row = ",".join(["%.12g"] * (3 + len(columns))) + "\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "norm", "energy"] + [traj.ket_names[c] for c in columns])
-        for i, t in enumerate(traj.times):
-            row = [f"{t:.12g}", f"{traj.norms[i]:.12g}", f"{traj.energies[i]:.12g}"]
-            row += [f"{traj.populations[i, c]:.12g}" for c in columns]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["t", "norm", "energy"] + [traj.ket_names[c] for c in columns])
+        for lo in range(0, len(traj.times), CSV_BLOCK):
+            rows = slice(lo, lo + CSV_BLOCK)
+            table = np.column_stack([traj.times[rows], traj.norms[rows], traj.energies[rows],
+                                     traj.populations[rows][:, columns]])
+            fh.write("".join(row % tuple(r) for r in table.tolist()))
+
+
+def _error_text(exc: Exception) -> str:
+    """The one-line message of an exception; a KeyError's str() adds quotes."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
 def cmd_evolve(args) -> int:
@@ -213,7 +227,7 @@ def cmd_evolve(args) -> int:
     try:
         state = prepare(b, prep_spec)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DOMAIN
 
     start = int(state.populations().argmax())

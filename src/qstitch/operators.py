@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +59,14 @@ class VEntry:
     mode: Optional[str] = None
 
 
+class EigenBlock(NamedTuple):
+    """Eigenpairs of H + V on one connected component of the coupling graph."""
+
+    kets: np.ndarray  # basis indices of the component, ascending
+    w: np.ndarray  # eigenvalues, ascending
+    q: np.ndarray  # eigenvectors as columns; row r belongs to ket kets[r]
+
+
 @dataclass
 class OperatorPair:
     """Diagonal H plus hermitian V over a fixed basis, gate included."""
@@ -69,23 +77,85 @@ class OperatorPair:
     gate: float
     entries: tuple[VEntry, ...]
     warnings: list[Diagnostic] = field(default_factory=list)
+    _blocks: Optional[tuple[EigenBlock, ...]] = field(default=None, repr=False)
     _eig: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return len(self.H)
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition of H + V, cached for repeated propagation."""
-        if self._eig is None:
+    def eigenblocks(self) -> tuple[EigenBlock, ...]:
+        """One eigendecomposition per connected component of V, cached.
+
+        No coupling links two components, so H + V is exactly
+        block-diagonal over them and the blocks hold its whole spectrum.
+        Components are ordered by their first ket.
+        """
+        if self._blocks is None:
+            rows, cols = np.nonzero(self.V)
             # hermiticity is guaranteed by construction; check before handing
-            # the matrix to a solver that silently assumes it
-            skew = np.abs(self.V - self.V.conj().T).max()
+            # the matrix to a solver that silently assumes it (entries zero
+            # on both sides of the diagonal cannot break it)
+            skew = np.abs(self.V[rows, cols] - self.V[cols, rows].conj()).max(initial=0.0)
             if skew != 0.0:
                 raise ValueError(f"coupling matrix V is not hermitian (max |V - V^H| = {skew:g})")
-            w, q = np.linalg.eigh(np.diag(self.H).astype(complex) + self.V)
-            self._eig = (w, q)
+            # one stacked eigh per component size: components are many and small
+            by_size: dict[int, list[np.ndarray]] = {}
+            for kets in _components(self.dimension, rows, cols):
+                by_size.setdefault(len(kets), []).append(kets)
+            blocks = []
+            for size, group in by_size.items():
+                kets = np.array(group)
+                h = self.V[kets[:, :, None], kets[:, None, :]]
+                h[:, range(size), range(size)] += self.H[kets]
+                w, q = np.linalg.eigh(h)
+                blocks += map(EigenBlock, kets, w, q)
+            self._blocks = tuple(sorted(blocks, key=lambda blk: blk.kets[0]))
+        return self._blocks
+
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition of H + V (ascending w, unitary Q), cached.
+
+        Assembled from ``eigenblocks``: each column of Q is zero outside
+        the component its eigenvalue belongs to.
+        """
+        if self._eig is None:
+            n = self.dimension
+            blocks = self.eigenblocks()
+            w = np.zeros(n)
+            col = 0
+            for blk in blocks:
+                w[col : col + len(blk.w)] = blk.w
+                col += len(blk.w)
+            order = np.argsort(w, kind="stable")
+            rank = np.empty(n, dtype=int)
+            rank[order] = np.arange(n)
+            q = np.zeros((n, n), dtype=complex)
+            col = 0
+            for blk in blocks:
+                q[np.ix_(blk.kets, rank[col : col + len(blk.w)])] = blk.q
+                col += len(blk.w)
+            self._eig = (w[order], q)
         return self._eig
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Ket index arrays of the connected components of the graph with edges (rows, cols)."""
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([root(i) for i in range(n)], dtype=int)
+    order = np.argsort(roots, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1) if n else []
 
 
 def _occupation_diff(a: BasisKet, b: BasisKet) -> dict[str, int]:

@@ -1,9 +1,12 @@
 """Amplitude-vector propagation, pulse injection, and emission detection.
 
 Coherent evolution follows i dC/dt = (H + V) C with hbar = 1. Steps use
-the exact spectral propagator of the (small, dense) hermitian H + V, so
-unitarity holds to round-off and the step size only controls sampling and
-event-check granularity, not accuracy.
+the exact spectral propagator of the hermitian H + V, so unitarity holds
+to round-off and the step size only controls sampling and event-check
+granularity, not accuracy. The energy gate makes H + V block-diagonal
+over the connected components of V; ``evolve`` evaluates each coherent
+segment from the eigenpairs of the components holding amplitude, many
+steps at once.
 
 Laboratory transfers sit outside Hilbert-space evolution and appear as
 events: a preparation or pulse injection is logged with the "+" transfer
@@ -19,6 +22,7 @@ states they are amplitude weights, not classical occupancies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -153,6 +157,111 @@ def monitored_kets(b: BasisSet, d: DetectorDecl) -> list[int]:
     ]
 
 
+@dataclass
+class _Monitor:
+    """A detector that can still fire, with its monitored kets."""
+
+    detector: DetectorDecl
+    kets: np.ndarray
+    armed: bool = True
+
+
+def _check_detection(detectors: Sequence[DetectorDecl], mode: str) -> None:
+    if mode not in ("threshold", "stochastic"):
+        raise ValueError(f"unknown detect mode {mode!r}")
+    for d in detectors:
+        if not (0.0 < d.threshold <= 1.0):
+            raise ValueError(f"detector {d.id}: threshold must lie in (0, 1]")
+
+
+def _monitors(b: BasisSet, detectors: Sequence[DetectorDecl], mode: str) -> list[_Monitor]:
+    """The detectors able to fire in ``mode``: some monitored ket, and a rate if stochastic."""
+    out = []
+    for d in detectors:
+        kets = np.array(monitored_kets(b, d), dtype=int)
+        if len(kets) and (mode == "threshold" or d.rate is not None):
+            out.append(_Monitor(d, kets))
+    return out
+
+
+def _first_draw_below(rng: np.random.Generator, probs: np.ndarray) -> Optional[int]:
+    """Index of the first of ``len(probs)`` draws that falls below its probability.
+
+    The generator ends exactly where one ``rng.random()`` per draw, up to
+    and including that one (or all of them, on no hit), would leave it:
+    ``random(k)`` yields the same numbers as k single draws.
+    """
+    state = rng.bit_generator.state
+    hits = np.flatnonzero(rng.random(len(probs)) < probs)
+    if not len(hits):
+        return None
+    rng.bit_generator.state = state
+    rng.random(hits[0] + 1)
+    return int(hits[0])
+
+
+def _first_firing(
+    pops: np.ndarray,
+    monitors: Sequence[_Monitor],
+    mode: str,
+    rng: Optional[np.random.Generator] = None,
+    dt: Optional[float] = None,
+) -> Optional[tuple[int, int, int]]:
+    """Earliest firing over the rows (consecutive steps) of ``pops``.
+
+    Returns (row, index into ``monitors``, ket) or None. Within a row the
+    monitors are checked in order and the first to fire ends the row.
+
+    threshold: an armed monitor fires on a row where its most populated
+    ket reaches the threshold (and exceeds FLOOR); an unarmed one arms on
+    a row where that population is below the threshold, and may fire from
+    the next row on. Arming flags are updated in place through the last
+    row each monitor was checked on.
+
+    stochastic: each monitored ket above FLOOR draws once per row, in
+    (row, monitor, ket) order, and fires when its draw is below
+    rate * population * dt.
+    """
+    if not monitors:
+        return None
+    if mode == "stochastic":
+        kets = np.concatenate([m.kets for m in monitors])
+        sizes = [len(m.kets) for m in monitors]
+        owner = np.repeat(np.arange(len(monitors)), sizes)
+        rates = np.repeat([float(m.detector.rate) for m in monitors], sizes)
+        sub = pops[:, kets]
+        live = sub > FLOOR
+        hit = _first_draw_below(rng, (rates * sub * dt)[live])
+        if hit is None:
+            return None
+        rows, cols = np.nonzero(live)
+        return int(rows[hit]), int(owner[cols[hit]]), int(kets[cols[hit]])
+
+    n = len(pops)
+    tops, belows, fire_rows = [], [], []
+    for m in monitors:
+        sub = pops[:, m.kets]
+        top = sub.argmax(axis=1)
+        val = sub[np.arange(n), top]
+        below = val < m.detector.threshold
+        fires = ~below & (val > FLOOR)
+        if not m.armed:
+            arm = np.flatnonzero(below)
+            fires[: arm[0] + 1 if len(arm) else n] = False
+        rows = np.flatnonzero(fires)
+        tops.append(top)
+        belows.append(below)
+        fire_rows.append(int(rows[0]) if len(rows) else n)
+    first = min(range(len(monitors)), key=fire_rows.__getitem__)
+    row = fire_rows[first]
+    for i, m in enumerate(monitors):
+        # monitors after the firing one are not checked on its row
+        m.armed = m.armed or bool(belows[i][: row + (i < first)].any())
+    if row == n:
+        return None
+    return row, first, int(monitors[first].kets[tops[first][row]])
+
+
 def detect(
     c: StateVector,
     b: BasisSet,
@@ -163,37 +272,71 @@ def detect(
 ) -> Optional[EmissionEvent]:
     """Instantaneous detector check against the current populations.
 
-    Threshold mode fires when a monitored ket's population reaches the
-    detector threshold. Stochastic mode needs the step length and a
+    Threshold mode fires when a detector's most populated monitored ket
+    reaches the threshold. Stochastic mode needs the step length and a
     seeded generator; each monitored ket fires with probability
-    rate * population * dt. The returned event is not yet collapsed;
-    run-level arming and collapse live in ``evolve``.
+    rate * population * dt. Detectors are checked in order and the first
+    firing is returned, not yet collapsed; run-level arming and collapse
+    live in ``evolve``, which shares this check.
     """
-    pops = c.populations()
-    for d in detectors:
-        if not (0.0 < d.threshold <= 1.0):
-            raise ValueError(f"detector {d.id}: threshold must lie in (0, 1]")
-        for i in monitored_kets(b, d):
-            pop = float(pops[i])
-            if pop <= FLOOR:
-                continue
-            if mode == "threshold":
-                if pop >= d.threshold:
-                    return EmissionEvent(c.time, d.id, i, d.mode.id, pop, False)
-            elif mode == "stochastic":
-                if d.rate is None:
-                    continue
-                if rng is None or dt is None:
-                    raise ValueError("stochastic detection needs rng and dt")
-                if rng.random() < d.rate * pop * dt:
-                    return EmissionEvent(c.time, d.id, i, d.mode.id, pop, False)
-            else:
-                raise ValueError(f"unknown detect mode {mode!r}")
-    return None
+    _check_detection(detectors, mode)
+    if mode == "stochastic" and (rng is None or dt is None):
+        raise ValueError("stochastic detection needs rng and dt")
+    monitors = _monitors(b, detectors, mode)
+    pops = c.populations()[None, :]
+    hit = _first_firing(pops, monitors, mode, rng, dt)
+    if hit is None:
+        return None
+    _, i, ket = hit
+    d = monitors[i].detector
+    return EmissionEvent(c.time, d.id, ket, d.mode.id, float(pops[0, ket]), False)
 
 
-def _energy(c: StateVector, h: np.ndarray) -> float:
-    return float(np.real(c.amplitudes.conj() @ (h @ c.amplitudes)))
+# Steps evaluated as one product. It bounds the per-block arrays (steps x
+# kets), not the accuracy: every step is exact.
+CHUNK = 128
+
+
+def _restricted_h(op: OperatorPair, kets: np.ndarray) -> np.ndarray:
+    return np.diag(op.H[kets]).astype(complex) + op.V[np.ix_(kets, kets)]
+
+
+def _energy(op: OperatorPair, amps: np.ndarray) -> float:
+    """<c|H + V|c>, summed over the kets that hold amplitude."""
+    kets = np.flatnonzero(amps)
+    a = amps[kets]
+    return float(np.real(a.conj() @ (_restricted_h(op, kets) @ a)))
+
+
+class _Segment:
+    """Exact evolution of one coherent segment over the components holding amplitude.
+
+    H + V is block-diagonal over the connected components of V, so
+    amplitude never leaves them and every other ket stays exactly zero.
+    """
+
+    def __init__(self, op: OperatorPair, component: np.ndarray, amps: np.ndarray) -> None:
+        blocks = op.eigenblocks()
+        held = [blocks[i] for i in np.unique(component[np.flatnonzero(amps)])]
+        self.kets = np.concatenate([blk.kets for blk in held])
+        self.w = np.concatenate([blk.w for blk in held])
+        q = np.zeros((len(self.kets), len(self.kets)), dtype=complex)
+        lo = 0
+        for blk in held:
+            hi = lo + len(blk.kets)
+            q[lo:hi, lo:hi] = blk.q
+            lo = hi
+        self.qt = q.T
+        self.coef = q.conj().T @ amps[self.kets]
+        self.h = _restricted_h(op, self.kets)
+
+    def amplitudes(self, elapsed: np.ndarray) -> np.ndarray:
+        """Amplitudes on ``kets``, one row per elapsed time since the segment start."""
+        return (np.exp(-1j * np.outer(elapsed, self.w)) * self.coef) @ self.qt
+
+    def energies(self, amps: np.ndarray) -> np.ndarray:
+        """<c|H + V|c> for each row of amplitudes on ``kets``."""
+        return np.real(np.sum(amps.conj() * (amps @ self.h.T), axis=1))
 
 
 def evolve(
@@ -210,13 +353,18 @@ def evolve(
 ) -> Trajectory:
     """Run a full scenario: coherent segments alternated with lab transfers.
 
-    The run takes t_end / dt steps, which must be a whole number. Pulses
-    are injected at the first step boundary at or after their scheduled
-    time, so each must lie at or before the last boundary, t_end - dt.
-    Detectors are checked every step. Threshold detectors arm once their
-    monitored population has been below threshold and fire on the next
-    upward crossing; each detector fires at most once per run. On a
-    collapse the trajectory ends at the event.
+    The run takes t_end / dt steps, which must be a whole number; step k
+    ends at c0.time + k * dt. Pulses are injected at the first step
+    boundary at or after their scheduled time, so each must lie at or
+    before the last boundary, t_end - dt. Detectors are checked every
+    step. Threshold detectors arm once their monitored population has
+    been below threshold and fire on the next upward crossing; each
+    detector fires at most once per run. On a collapse the trajectory
+    ends at the event.
+
+    Between pulses the state evolves as one exact segment: its amplitudes
+    are evaluated in blocks of CHUNK steps over the coupling components
+    that hold amplitude, and detection is checked over each block at once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -225,110 +373,95 @@ def evolve(
         raise ValueError(f"t_end {t_end:g} is not a whole number of dt {dt:g} steps")
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    _check_detection(detectors, detect_mode)
     times = [u.time for u in pulses]
     if any(t0 > t1 for t0, t1 in zip(times, times[1:])):
         raise ValueError("pulse times must be sorted")
-    last = t_end - dt
-    if any(t < 0 or t > last + 1e-12 for t in times):
-        raise ValueError(f"pulse times must lie within [0, t_end - dt] = [0, {last:g}]")
+    t0 = c0.time
+    # a pulse goes in at the first boundary t0 + k*dt at or after its time
+    at = [max(0, math.ceil((t - t0 - 1e-12) / dt)) for t in times]
+    if any(t < 0 or k > n_steps - 1 for t, k in zip(times, at)):
+        raise ValueError(f"pulse times must lie within [0, t_end - dt] = [0, {t_end - dt:g}]")
 
     b = op.basis
-    h = np.diag(op.H).astype(complex) + op.V
-    rng = np.random.default_rng(seed)
-    state = c0
+    n = len(b)
     names = b.names()
-    events: list[dict] = []
-    prepared = [names[i] for i in range(len(b)) if abs(state.amplitudes[i]) > FLOOR]
-    events.append({"type": "prepare", "transfer": "+", "time": state.time, "kets": prepared})
-
-    pending = list(pulses)
-    armed: dict[str, bool] = {}
-    fired: set[str] = set()
-    pops = state.populations()
-    for d in detectors:
-        below = all(pops[i] < d.threshold for i in monitored_kets(b, d))
-        armed[d.id] = below
-
-    sample_t = [state.time]
-    sample_pop = [pops.copy()]
-    sample_norm = [state.norm]
-    sample_energy = [_energy(state, h)]
+    component = np.zeros(n, dtype=int)
+    for i, blk in enumerate(op.eigenblocks()):
+        component[blk.kets] = i
+    rng = np.random.default_rng(seed)
+    amps = np.asarray(c0.amplitudes, dtype=complex)
+    if not amps.any():
+        raise ValueError("the initial state has no amplitude")
+    pops = np.abs(amps) ** 2
+    events: list[dict] = [{"type": "prepare", "transfer": "+", "time": t0,
+                           "kets": [names[i] for i in np.flatnonzero(np.abs(amps) > FLOOR)]}]
+    monitors = _monitors(b, detectors, detect_mode)
+    for m in monitors:
+        m.armed = bool(pops[m.kets].max() < m.detector.threshold)
     first_emission: Optional[EmissionEvent] = None
+    samples: list[tuple] = []  # (times, populations, norms, energies) per sampled block
 
-    for step_i in range(1, n_steps + 1):
-        emission: Optional[EmissionEvent] = None
-        while pending and pending[0].time <= state.time + 1e-12:
-            pulse = pending.pop(0)
-            state = inject_pulse(state, b, pulse.mode)
-            events.append(
-                {"type": "pulse", "transfer": "+", "time": state.time, "mode": pulse.mode.id}
-            )
+    def sample_state(c: StateVector) -> None:
+        samples.append(([c.time], c.populations()[None, :], [c.norm], [_energy(op, c.amplitudes)]))
 
-        state = step(state, op, dt)
-        pops = state.populations()
+    def trajectory() -> Trajectory:
+        times, populations, norms, energies = (np.concatenate(x) for x in zip(*samples))
+        return Trajectory(names, times, populations, norms, energies, events, first_emission)
 
-        for d in detectors:
-            if d.id in fired:
-                continue
-            kets = monitored_kets(b, d)
-            if not kets:
-                continue
-            if detect_mode == "threshold":
-                top = max(kets, key=lambda i: pops[i])
-                if not armed[d.id]:
-                    if pops[top] < d.threshold:
-                        armed[d.id] = True
-                    continue
-                if pops[top] >= d.threshold and pops[top] > FLOOR:
-                    emission = EmissionEvent(
-                        state.time, d.id, int(top), d.mode.id, float(pops[top]), collapse
-                    )
-            elif detect_mode == "stochastic":
-                hit = detect(state, b, [d], rng=rng, dt=dt, mode="stochastic")
-                if hit is not None:
-                    emission = EmissionEvent(
-                        hit.time, hit.detector, hit.ket, hit.mode, hit.population, collapse
-                    )
-            else:
-                raise ValueError(f"unknown detect mode {detect_mode!r}")
-            if emission is not None:
-                fired.add(d.id)
-                if first_emission is None:
-                    first_emission = emission
-                events.append(
-                    {
-                        "type": "emission",
-                        "transfer": "-",
-                        "time": emission.time,
-                        "detector": emission.detector,
-                        "ket": names[emission.ket],
-                        "mode": emission.mode,
-                        "population": emission.population,
-                        "collapsed": emission.collapse_applied,
-                    }
-                )
-                break
+    sample_state(c0)
+    k0, p = 0, 0
+    while k0 < n_steps:
+        while p < len(pulses) and at[p] <= k0:
+            amps = inject_pulse(StateVector(amps, t0 + k0 * dt), b, pulses[p].mode).amplitudes
+            events.append({"type": "pulse", "transfer": "+", "time": t0 + k0 * dt,
+                           "mode": pulses[p].mode.id})
+            p += 1
+        k1 = at[p] if p < len(pulses) else n_steps
+        seg = _Segment(op, component, amps)
+        for lo in range(k0, k1, CHUNK):
+            steps = np.arange(lo + 1, min(lo + CHUNK, k1) + 1)
+            block = seg.amplitudes((steps - k0) * dt)
+            pops = np.zeros((len(steps), n))
+            pops[:, seg.kets] = np.abs(block) ** 2
+            stop = None
+            row = 0
+            while row < len(steps):
+                hit = _first_firing(pops[row:], monitors, detect_mode, rng, dt)
+                if hit is None:
+                    break
+                r, i, ket = hit
+                row += r
+                d = monitors.pop(i).detector
+                emission = EmissionEvent(t0 + int(steps[row]) * dt, d.id, ket, d.mode.id,
+                                         float(pops[row, ket]), collapse)
+                first_emission = first_emission or emission
+                events.append({
+                    "type": "emission",
+                    "transfer": "-",
+                    "time": emission.time,
+                    "detector": emission.detector,
+                    "ket": names[ket],
+                    "mode": emission.mode,
+                    "population": emission.population,
+                    "collapsed": collapse,
+                })
+                if collapse:
+                    stop = row
+                    break
+                row += 1
 
-        stop = emission is not None and collapse
-        if stop:
-            state = collapse_onto(state, emission.ket)
-            pops = state.populations()
-
-        if step_i % sample_every == 0 or step_i == n_steps or stop:
-            sample_t.append(state.time)
-            sample_pop.append(pops.copy())
-            sample_norm.append(state.norm)
-            sample_energy.append(_energy(state, h))
-
-        if stop:
-            break
-
-    return Trajectory(
-        ket_names=names,
-        times=np.array(sample_t),
-        populations=np.array(sample_pop),
-        norms=np.array(sample_norm),
-        energies=np.array(sample_energy),
-        events=events,
-        emission=first_emission,
-    )
+            keep = np.flatnonzero((steps % sample_every == 0) | (steps == n_steps))
+            if stop is not None:
+                keep = keep[keep < stop]
+            samples.append((t0 + steps[keep] * dt, pops[keep],
+                            np.linalg.norm(block[keep], axis=1), seg.energies(block[keep])))
+            if stop is not None:
+                amps = np.zeros(n, dtype=complex)
+                amps[seg.kets] = block[stop]
+                sample_state(collapse_onto(StateVector(amps, emission.time), ket))
+                return trajectory()
+        amps = np.zeros(n, dtype=complex)
+        amps[seg.kets] = block[-1]
+        k0 = k1
+    return trajectory()

@@ -100,6 +100,17 @@ def test_paths_trivial_when_from_equals_to(capsys):
 
 def test_paths_unknown_ket_exits_one(capsys):
     assert main(["paths", ONE, "--from", "Z.S9", "--to", "E.S0+wE01"]) == 1
+    # the message is printed as is, not as a quoted KeyError repr
+    assert capsys.readouterr().err == (
+        "error: unknown level reference 'Z.S9' in ket spec 'Z.S9'\n"
+    )
+
+
+def test_evolve_unknown_prepared_ket_exits_one(tmp_path, capsys):
+    assert main(["evolve", ONE, "--prepare", "Z.S9=1", "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown level reference 'Z.S9' in ket spec 'Z.S9'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -190,6 +201,35 @@ def test_operator_dump_subcommand(capsys):
     assert len(dump["diagonal"]) == 16
     assert all(e["a"] < e["b"] for e in dump["entries"])
     assert any("transfer" in e["kinds"] for e in dump["entries"])
+
+
+def _per_cell_csv(path, traj, watch):
+    """Reference writer: one csv.writer row of formatted cells per sample."""
+    names = traj.ket_names
+    columns = [names.index(k) for k in watch] if watch else range(len(names))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "norm", "energy"] + [names[c] for c in columns])
+        for i, t in enumerate(traj.times):
+            row = [f"{t:.12g}", f"{traj.norms[i]:.12g}", f"{traj.energies[i]:.12g}"]
+            writer.writerow(row + [f"{traj.populations[i, c]:.12g}" for c in columns])
+
+
+@pytest.mark.parametrize("scheme", [ONE, TWO])
+@pytest.mark.parametrize("watch", [None, ["Z.S1", "Z.S0+wZ01"]])
+def test_csv_bytes_match_per_cell_writer(tmp_path, scheme, watch):
+    from qstitch.cli import CSV_BLOCK, _default_preparation, _load, _run_setup, _write_csv
+    from qstitch import evolve, prepare
+
+    s, _, _ = _load(scheme)
+    b, op = _run_setup(s)
+    traj = evolve(prepare(b, {_default_preparation(s, b): 1.0}), op, pulses=s.pulses,
+                  detectors=s.detectors, t_end=600.0, dt=0.25, sample_every=4,
+                  collapse=False)
+    assert len(traj.times) > 2 * CSV_BLOCK + 1  # several blocks, the last one partial
+    _write_csv(tmp_path / "fast.csv", traj, watch)
+    _per_cell_csv(tmp_path / "ref.csv", traj, watch)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_evolve_watch_restricts_csv_columns(tmp_path, capsys):

@@ -167,8 +167,12 @@ def test_detect_rejects_bad_threshold(two_level):
         id="d", target=two_level.level("A.G"), mode=two_level.mode("w"), threshold=1.5
     )
     c = prepare(b, {"A.X": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold must lie in"):
         detect(c, b, [det])
+    # evolve checks thresholds up front, in either mode, with the same message
+    for mode in ("threshold", "stochastic"):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            evolve(c, op, detectors=[det], t_end=10.0, dt=0.1, detect_mode=mode, seed=1)
 
 
 def test_stochastic_detection_is_seed_deterministic(two_level):
@@ -245,6 +249,16 @@ def test_evolve_rejects_a_pulse_it_would_drop(two_level):
     for t in (1.2, 1.0):
         with pytest.raises(ValueError, match="pulse times"):
             evolve(c, op, pulses=[PulseDecl(mode=w, time=t)], t_end=1.2, dt=0.4)
+
+
+def test_pulse_on_a_boundary_goes_in_on_time(two_photon):
+    # 2000 accumulated steps of 0.1 read 199.99999999999292, one step short
+    b = scenario_basis(two_photon)
+    op = assemble(b, two_photon)
+    c = prepare(b, {"Z.S0+wZ01": 1.0})
+    traj = evolve(c, op, pulses=two_photon.pulses, t_end=210.0, dt=0.1, sample_every=100)
+    assert [e["time"] for e in traj.events if e["type"] == "pulse"] == [200.0]
+    assert traj.times[-1] == 210.0
 
 
 def test_energy_constant_between_pulses(two_photon):
