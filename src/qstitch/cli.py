@@ -30,7 +30,7 @@ from . import basis as basis_mod
 from . import pathways as paths_mod
 from .basis import BasisSet, ket_name, scenario_basis
 from .operators import assemble, operator_dump
-from .propagator import FLOOR, Trajectory, evolve, prepare
+from .propagator import FLOOR, Trajectory, evolve, monitored_kets, prepare
 from .scheme import HBAR_EV_FS, Scheme, has_errors, parse_scheme, validate_scheme
 
 EXIT_OK = 0
@@ -234,8 +234,6 @@ def cmd_evolve(args) -> int:
     reach_verdicts = {}
     for d in scheme.detectors:
         verdicts = []
-        from .propagator import monitored_kets
-
         for ki in monitored_kets(b, d):
             ok, witness = paths_mod.reachable(graph, b, start, ki, scheme.pulses)
             verdicts.append(

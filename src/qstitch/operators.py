@@ -325,24 +325,24 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
     return OperatorPair(basis=b, H=H, V=V, gate=delta, entries=tuple(entries), warnings=warnings)
 
 
+def coupled_pairs(op: OperatorPair) -> list[tuple[int, int, tuple[str, ...]]]:
+    """The nonzero upper-triangle pairs (a, b) of V, row-major, with their sorted kinds.
+
+    Pairs come from ``op.entries``; a pair whose weights cancel to an exact
+    zero in V is left out.
+    """
+    kinds: dict[tuple[int, int], set[str]] = {}
+    for e in op.entries:
+        kinds.setdefault((e.a, e.b), set()).add(e.kind)
+    return [(a, b, tuple(sorted(k))) for (a, b), k in sorted(kinds.items()) if op.V[a, b] != 0]
+
+
 def operator_dump(op: OperatorPair) -> dict:
     """JSON-ready dump: dimension, diagonal, and the nonzero triplets of V."""
-    triplets = []
-    for i in range(op.dimension):
-        for j in range(i + 1, op.dimension):
-            w = op.V[i, j]
-            if w == 0:
-                continue
-            kinds = sorted({e.kind for e in op.entries if (e.a, e.b) == (i, j)})
-            triplets.append(
-                {
-                    "a": i,
-                    "b": j,
-                    "re": w.real,
-                    "im": w.imag,
-                    "kinds": kinds,
-                }
-            )
+    triplets = [
+        {"a": a, "b": b, "re": op.V[a, b].real, "im": op.V[a, b].imag, "kinds": list(kinds)}
+        for a, b, kinds in coupled_pairs(op)
+    ]
     return {
         "schema": 1,
         "dimension": op.dimension,

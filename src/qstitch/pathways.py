@@ -4,7 +4,9 @@ The graph mirrors the exact sparsity of V: an undirected edge exists
 wherever V has a nonzero off-diagonal entry, annotated with the coupling
 kinds behind it. Scheduled pulses are not edges; they relabel the whole
 search frontier to photon-added partners, opening the next layer, exactly
-as pulse injection acts on a state vector.
+as pulse injection acts on a state vector. Over these (ket, pulse layer)
+nodes breadth-first search gives witness and closure, depth-first search
+the enumeration.
 
 A q-path is a mechanism skeleton: an ordered ket sequence whose graph
 steps carry a (dLambda, dS) ledger and whose injections consume the pulse
@@ -16,13 +18,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .basis import BasisSet
-from .operators import OperatorPair
+from .basis import BasisSet, ket_name, photon_partner
+from .operators import OperatorPair, coupled_pairs
 from .scheme import PulseDecl
+
+INJECT = "inject"
+
+Steps = Callable[[int, int], Iterable[tuple[int, str]]]  # (ket, layer) -> (next ket, kind)
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class QPath:
 
     def to_dict(self, b: BasisSet) -> dict:
         return {
-            "kets": [b.names()[i] for i in self.kets],
+            "kets": [ket_name(b.kets[i]) for i in self.kets],
             "kinds": list(self.kinds),
             "injected": list(self.injected),
             "ledger": [list(x) for x in self.ledger],
@@ -77,207 +82,118 @@ def photon_budget(p: QPath) -> int:
 
 def build_graph(op: OperatorPair) -> CouplingGraph:
     """Extract the exact adjacency of V, annotated with coupling kinds."""
-    n = op.dimension
-    kinds: dict[tuple[int, int], set[str]] = {}
-    for e in op.entries:
-        kinds.setdefault((e.a, e.b), set()).add(e.kind)
-    edges = []
-    rows, cols = np.nonzero(op.V)
-    for i, j in zip(rows, cols):
-        if i < j:
-            edges.append(Edge(int(i), int(j), tuple(sorted(kinds.get((int(i), int(j)), ())))))
-    return CouplingGraph(n=n, edges=tuple(edges))
+    return CouplingGraph(op.dimension, tuple(Edge(a, b, k) for a, b, k in coupled_pairs(op)))
 
 
-def _adjacency(g: CouplingGraph) -> dict[int, list[tuple[int, Edge]]]:
-    adj: dict[int, list[tuple[int, Edge]]] = {i: [] for i in range(g.n)}
+def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> Steps:
+    """The moves out of a (ket, pulse layer) node: its edges, then its next-layer partner."""
+    moves: list[list[tuple[int, str]]] = [[] for _ in range(g.n)]
     for e in g.edges:
-        adj[e.a].append((e.b, e))
-        adj[e.b].append((e.a, e))
-    return adj
+        # one kind per edge: only a dipole moves a quantum, only a transfer hops sectors
+        moves[e.a].append((e.b, e.kinds[0]))
+        moves[e.b].append((e.a, e.kinds[0]))
+    partners = [[photon_partner(b, ket, u.mode) for ket in b.kets] for u in pulses]
+
+    def steps(ket: int, layer: int) -> Iterable[tuple[int, str]]:
+        partner = partners[layer][ket] if layer < len(partners) else None
+        return moves[ket] if partner is None else chain(moves[ket], ((partner, INJECT),))
+
+    return steps
 
 
-def _step_ledger(b: BasisSet, i: int, j: int) -> tuple[int, int]:
-    ka, kb = b.kets[i], b.kets[j]
-    return (kb.matter.lam - ka.matter.lam, kb.matter.spin - ka.matter.spin)
+def _bfs(steps: Steps, start: int, target: Optional[int] = None) -> tuple[dict, Optional[tuple]]:
+    """Breadth-first search over (ket, pulse layer) nodes from (start, 0).
+
+    Returns the parent map {node: (parent, step kind)} of the nodes reached,
+    None for the start, and the first node whose ket is ``target``.
+    """
+    init = (start, 0)
+    prev: dict = {init: None}
+    queue = deque([init])
+    while queue:
+        ket, layer = node = queue.popleft()
+        if ket == target:
+            return prev, node
+        for nxt, kind in steps(ket, layer):
+            step = (nxt, layer + (kind == INJECT))
+            if step not in prev:
+                prev[step] = (node, kind)
+                queue.append(step)
+    return prev, None
 
 
-def _step_kind(b: BasisSet, e: Edge, i: int, j: int) -> str:
-    if len(e.kinds) == 1:
-        return e.kinds[0]
-    ka, kb = b.kets[i], b.kets[j]
-    if ka.sector != kb.sector:
-        return "transfer"
-    return e.kinds[0] if e.kinds else "coupling"
-
-
-def _partner_map(b: BasisSet, pulse: PulseDecl) -> dict[int, int]:
-    from .basis import photon_partner
-
-    out = {}
-    for i, ket in enumerate(b.kets):
-        j = photon_partner(b, ket, pulse.mode)
-        if j is not None:
-            out[i] = j
-    return out
+def _qpath(b: BasisSet, pulses: Sequence[PulseDecl], kets: list[int], kinds: list[str]) -> QPath:
+    """The q-path along ``kets``: its injected modes, ledger and prepared quanta."""
+    matter = [b.kets[i].matter for i in kets]
+    ledger = tuple((y.lam - x.lam, y.spin - x.spin) for x, y in zip(matter, matter[1:]))
+    injected = tuple(u.mode.id for u in pulses[: kinds.count(INJECT)])
+    return QPath(tuple(kets), tuple(kinds), injected, ledger, b.kets[kets[0]].total_occupation)
 
 
 def reachable(
-    g: CouplingGraph,
-    b: BasisSet,
-    start: int,
-    target: int,
-    pulses: Sequence[PulseDecl] = (),
+    g: CouplingGraph, b: BasisSet, start: int, target: int, pulses: Sequence[PulseDecl] = ()
 ) -> tuple[bool, Optional[QPath]]:
     """Layered search for the target, returning a minimal-length witness.
 
     Within a layer the search walks graph edges; consuming the next
     scheduled pulse moves a frontier ket to its photon-added partner
-    (when present) and opens the next layer. Start equal to target is
+    (when present) and opens the next layer. The witness is a shortest
+    walk over (ket, pulse layer) nodes. Start equal to target is
     trivially reachable with an empty path.
     """
-    adj = _adjacency(g)
-    partner_maps = [_partner_map(b, u) for u in pulses]
-    init = (start, 0)
-    prev: dict[tuple[int, int], tuple[tuple[int, int], str]] = {init: (None, "")}
-    queue = deque([init])
-    goal: Optional[tuple[int, int]] = (init if start == target else None)
-
-    while queue and goal is None:
-        node = queue.popleft()
-        ket, layer = node
-        moves: list[tuple[tuple[int, int], str]] = [
-            ((nxt, layer), _step_kind(b, e, ket, nxt)) for nxt, e in adj[ket]
-        ]
-        if layer < len(pulses) and ket in partner_maps[layer]:
-            moves.append(((partner_maps[layer][ket], layer + 1), "inject"))
-        for nxt, kind in moves:
-            if nxt in prev:
-                continue
-            prev[nxt] = (node, kind)
-            if nxt[0] == target:
-                goal = nxt
-                break
-            queue.append(nxt)
-
+    prev, goal = _bfs(_layered(g, b, pulses), start, target)
     if goal is None:
         return False, None
-
-    kets: list[int] = []
-    kinds: list[str] = []
-    node = goal
-    while node is not None:
+    kets, kinds, node = [goal[0]], [], goal
+    while prev[node] is not None:
+        node, kind = prev[node]
         kets.append(node[0])
-        parent, kind = prev[node]
-        if parent is not None:
-            kinds.append(kind)
-        node = parent
-    kets.reverse()
-    kinds.reverse()
-
-    injected = []
-    ledger = []
-    layer = 0
-    for idx, kind in enumerate(kinds):
-        ledger.append(_step_ledger(b, kets[idx], kets[idx + 1]))
-        if kind == "inject":
-            injected.append(pulses[layer].mode.id)
-            layer += 1
-    path = QPath(
-        kets=tuple(kets),
-        kinds=tuple(kinds),
-        injected=tuple(injected),
-        ledger=tuple(ledger),
-        prepared_quanta=b.kets[start].total_occupation,
-    )
-    return True, path
+        kinds.append(kind)
+    return True, _qpath(b, pulses, kets[::-1], kinds[::-1])
 
 
-def reachable_set(
-    g: CouplingGraph, b: BasisSet, start: int, pulses: Sequence[PulseDecl] = ()
-) -> set[int]:
+def reachable_set(g: CouplingGraph, b: BasisSet, start: int,
+                  pulses: Sequence[PulseDecl] = ()) -> set[int]:
     """All kets reachable from the start across every pulse layer."""
-    adj = _adjacency(g)
-    partner_maps = [_partner_map(b, u) for u in pulses]
-    seen = {(start, 0)}
-    queue = deque([(start, 0)])
-    while queue:
-        ket, layer = queue.popleft()
-        nexts = [(nxt, layer) for nxt, _ in adj[ket]]
-        if layer < len(pulses) and ket in partner_maps[layer]:
-            nexts.append((partner_maps[layer][ket], layer + 1))
-        for node in nexts:
-            if node not in seen:
-                seen.add(node)
-                queue.append(node)
-    return {ket for ket, _ in seen}
+    prev, _ = _bfs(_layered(g, b, pulses), start)
+    return {ket for ket, _ in prev}
 
 
 def enumerate_qpaths(
-    g: CouplingGraph,
-    b: BasisSet,
-    start: int,
-    target: int,
-    pulses: Sequence[PulseDecl] = (),
-    max_len: int = 12,
+    g: CouplingGraph, b: BasisSet, start: int, target: int,
+    pulses: Sequence[PulseDecl] = (), max_len: int = 12,
 ) -> tuple[list[QPath], bool]:
     """All simple q-paths from start to target, up to ``max_len`` steps.
 
-    Paths never revisit a ket. The second return value flags truncation:
-    some branch hit the length bound while unexplored continuations
-    remained, so longer paths may exist.
+    Paths never revisit a ket and come in depth-first order: graph edges
+    in edge order, then the next injection. The second return value flags
+    truncation: a path of ``max_len`` steps that did not end at the target
+    had an unvisited next ket, so longer paths may exist.
     """
-    adj = _adjacency(g)
-    partner_maps = [_partner_map(b, u) for u in pulses]
-    paths: list[QPath] = []
-    truncated = False
+    if max_len < 0:
+        raise ValueError(f"max_len must be non-negative, got {max_len}")
+    steps = _layered(g, b, pulses)
+    paths, kets, kinds, visited = [], [start], [], {start}
 
-    def emit(kets: list[int], kinds: list[str]) -> None:
-        injected = []
-        layer = 0
-        ledger = []
-        for idx, kind in enumerate(kinds):
-            ledger.append(_step_ledger(b, kets[idx], kets[idx + 1]))
-            if kind == "inject":
-                injected.append(pulses[layer].mode.id)
-                layer += 1
-        paths.append(
-            QPath(
-                kets=tuple(kets),
-                kinds=tuple(kinds),
-                injected=tuple(injected),
-                ledger=tuple(ledger),
-                prepared_quanta=b.kets[start].total_occupation,
-            )
-        )
-
-    def walk(kets: list[int], kinds: list[str], layer: int, visited: set[int]) -> None:
-        nonlocal truncated
-        node = kets[-1]
-        if node == target:
-            emit(kets, kinds)
-            return
-        moves: list[tuple[int, str, int]] = [
-            (nxt, _step_kind(b, e, node, nxt), layer) for nxt, e in adj[node]
-        ]
-        if layer < len(pulses) and node in partner_maps[layer]:
-            moves.append((partner_maps[layer][node], "inject", layer + 1))
-        for nxt, kind, nxt_layer in moves:
+    def walk(ket: int, layer: int) -> bool:
+        """Collect the paths on from (ket, layer); True if the length bound cut one off."""
+        if ket == target:
+            paths.append(_qpath(b, pulses, kets, kinds))
+            return False
+        cut = False
+        for nxt, kind in steps(ket, layer):
             if nxt in visited:
                 continue
-            if len(kinds) >= max_len:
-                truncated = True
-                continue
+            if len(kinds) == max_len:
+                return True
             visited.add(nxt)
             kets.append(nxt)
             kinds.append(kind)
-            walk(kets, kinds, nxt_layer, visited)
+            cut |= walk(nxt, layer + (kind == INJECT))
+            visited.remove(nxt)
             kets.pop()
             kinds.pop()
-            visited.remove(nxt)
+        return cut
 
-    if start == target:
-        emit([start], [])
-        return paths, truncated
-    walk([start], [], 0, {start})
+    truncated = walk(start, 0)
     return paths, truncated

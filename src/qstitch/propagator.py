@@ -355,12 +355,12 @@ def evolve(
 
     The run takes t_end / dt steps, which must be a whole number; step k
     ends at c0.time + k * dt. Pulses are injected at the first step
-    boundary at or after their scheduled time, so each must lie at or
-    before the last boundary, t_end - dt. Detectors are checked every
-    step. Threshold detectors arm once their monitored population has
-    been below threshold and fire on the next upward crossing; each
-    detector fires at most once per run. On a collapse the trajectory
-    ends at the event.
+    boundary at or after their scheduled time, so each must lie between
+    the start and the last boundary, in [c0.time, c0.time + t_end - dt].
+    Detectors are checked every step. Threshold detectors arm once their
+    monitored population has been below threshold and fire on the next
+    upward crossing; each detector fires at most once per run. On a
+    collapse the trajectory ends at the event.
 
     Between pulses the state evolves as one exact segment: its amplitudes
     are evaluated in blocks of CHUNK steps over the coupling components
@@ -380,8 +380,11 @@ def evolve(
     t0 = c0.time
     # a pulse goes in at the first boundary t0 + k*dt at or after its time
     at = [max(0, math.ceil((t - t0 - 1e-12) / dt)) for t in times]
-    if any(t < 0 or k > n_steps - 1 for t, k in zip(times, at)):
-        raise ValueError(f"pulse times must lie within [0, t_end - dt] = [0, {t_end - dt:g}]")
+    if any(t < t0 or k > n_steps - 1 for t, k in zip(times, at)):
+        raise ValueError(
+            "pulse times must lie within [start, start + t_end - dt] = "
+            f"[{t0:g}, {t0 + t_end - dt:g}]"
+        )
 
     b = op.basis
     n = len(b)

@@ -1,4 +1,4 @@
-"""Shared fixtures: shipped schemes, small inline schemes, random corpus."""
+"""Shared fixtures: shipped schemes, small inline schemes, random corpus, path oracle."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qstitch import parse_scheme, scenario_basis, validate_scheme
+from qstitch.basis import photon_partner
 from qstitch.scheme import Scheme, has_errors
 
 REPO = Path(__file__).resolve().parents[1]
@@ -172,3 +173,40 @@ def random_scheme(seed: int, max_kets: int = 12) -> Scheme:
         if len(scenario_basis(result.scheme)) <= max_kets:
             return result.scheme
     raise AssertionError(f"no small scheme found for seed {seed}")
+
+
+# ---------------------------------------------------------------------------
+# Path oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_force_paths(op, b, start, target, pulses, max_len) -> set[tuple[int, ...]]:
+    """Independent brute-force enumeration of simple q-paths straight off V.
+
+    Neighbours come from the nonzero entries of the dense matrix and the
+    pulse layers from ``photon_partner``, not from the coupling graph.
+    """
+    n = op.dimension
+    adj = {i: [j for j in range(n) if j != i and op.V[i, j] != 0] for i in range(n)}
+    partners = [
+        {i: photon_partner(b, b.kets[i], u.mode) for i in range(n)} for u in pulses
+    ]
+    found = set()
+
+    def go(seq, layer):
+        node = seq[-1]
+        if node == target:
+            found.add(tuple(seq))
+            return
+        if len(seq) - 1 >= max_len:
+            return
+        for j in adj[node]:
+            if j not in seq:
+                go(seq + [j], layer)
+        if layer < len(pulses):
+            j = partners[layer].get(node)
+            if j is not None and j not in seq:
+                go(seq + [j], layer + 1)
+
+    go([start], 0)
+    return found

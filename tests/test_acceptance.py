@@ -38,7 +38,7 @@ from qstitch import (
 from qstitch.basis import photon_partner
 from qstitch.cli import main as cli_main
 
-from conftest import SCHEMES, random_scheme
+from conftest import SCHEMES, brute_force_paths, random_scheme
 
 PRIMARY_DIPOLE = 0.02
 RABI_PERIOD = 2 * np.pi / (2 * PRIMARY_DIPOLE)
@@ -228,33 +228,6 @@ def test_ac6_reachability_dynamics_equivalence():
     print(f"\n[AC6] PASS {agree}/{total} ket verdicts agree over {N_RANDOM} schemes")
 
 
-def _brute_force_paths(op, b, start, target, pulses, max_len):
-    n = op.dimension
-    adj = {i: [j for j in range(n) if j != i and op.V[i, j] != 0] for i in range(n)}
-    partners = [
-        {i: photon_partner(b, b.kets[i], u.mode) for i in range(n)} for u in pulses
-    ]
-    found = set()
-
-    def go(seq, layer):
-        node = seq[-1]
-        if node == target:
-            found.add(tuple(seq))
-            return
-        if len(seq) - 1 >= max_len:
-            return
-        for j in adj[node]:
-            if j not in seq:
-                go(seq + [j], layer)
-        if layer < len(pulses):
-            j = partners[layer].get(node)
-            if j is not None and j not in seq:
-                go(seq + [j], layer + 1)
-
-    go([start], 0)
-    return found
-
-
 def test_ac7_path_enumeration_oracle():
     compared = 0
     for seed in range(N_RANDOM):
@@ -265,7 +238,7 @@ def test_ac7_path_enumeration_oracle():
         start = 0
         for target in range(len(b)):
             mine, _ = enumerate_qpaths(g, b, start, target, s.pulses, max_len=8)
-            oracle = _brute_force_paths(op, b, start, target, s.pulses, max_len=8)
+            oracle = brute_force_paths(op, b, start, target, s.pulses, max_len=8)
             assert {p.kets for p in mine} == oracle, f"seed {seed} target {target}"
             compared += len(oracle)
     print(f"\n[AC7] PASS enumeration matches DFS oracle ({compared} paths compared)")

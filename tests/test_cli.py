@@ -106,6 +106,14 @@ def test_paths_unknown_ket_exits_one(capsys):
     )
 
 
+def test_paths_negative_max_len_exits_one(capsys):
+    argv = ["paths", ONE, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01", "--max-len", "-1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_len must be non-negative, got -1\n"
+
+
 def test_evolve_unknown_prepared_ket_exits_one(tmp_path, capsys):
     assert main(["evolve", ONE, "--prepare", "Z.S9=1", "--out", str(tmp_path / "r")]) == 1
     assert capsys.readouterr().err == (

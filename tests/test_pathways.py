@@ -1,6 +1,7 @@
 """Coupling-graph extraction, reachability, and q-path enumeration."""
 
 import numpy as np
+import pytest
 
 from qstitch import (
     assemble,
@@ -15,7 +16,7 @@ from qstitch import (
     selection_check,
 )
 
-from conftest import parse_ok, random_scheme
+from conftest import brute_force_paths, parse_ok, random_scheme
 
 
 def test_zero_matrix_gives_edgeless_graph():
@@ -155,41 +156,6 @@ def test_adding_a_pulse_never_shrinks_reachability():
         assert base <= withp
 
 
-def _oracle_paths(op, b, start, target, pulses, max_len):
-    """Independent brute-force enumeration straight off the matrix."""
-    from qstitch.basis import photon_partner
-
-    n = op.dimension
-    adj = {
-        i: [j for j in range(n) if j != i and op.V[i, j] != 0]
-        for i in range(n)
-    }
-    partners = []
-    for u in pulses:
-        partners.append(
-            {i: photon_partner(b, b.kets[i], u.mode) for i in range(n)}
-        )
-    found = set()
-
-    def go(seq, layer):
-        node = seq[-1]
-        if node == target:
-            found.add(tuple(seq))
-            return
-        if len(seq) - 1 >= max_len:
-            return
-        for j in adj[node]:
-            if j not in seq:
-                go(seq + [j], layer)
-        if layer < len(pulses):
-            j = partners[layer].get(node)
-            if j is not None and j not in seq:
-                go(seq + [j], layer + 1)
-
-    go([start], 0)
-    return found
-
-
 def test_enumeration_matches_brute_force_on_small_instances(two_level):
     cases = [random_scheme(seed) for seed in range(10)]
     for s in cases:
@@ -199,8 +165,27 @@ def test_enumeration_matches_brute_force_on_small_instances(two_level):
         start = 0
         target = len(b) - 1
         mine, _ = enumerate_qpaths(g, b, start, target, s.pulses, max_len=8)
-        theirs = _oracle_paths(op, b, start, target, s.pulses, max_len=8)
+        theirs = brute_force_paths(op, b, start, target, s.pulses, max_len=8)
         assert {p.kets for p in mine} == theirs
+
+
+@pytest.mark.parametrize("target, count", [("E.S0+wE01+wEt", 1241), ("E.S0+wE01", 0)])
+def test_two_photon_enumeration_matches_brute_force_at_length_12(two_photon, target, count):
+    b = scenario_basis(two_photon)
+    op = assemble(b, two_photon)
+    g = build_graph(op)
+    start, end = b.find("Z.S0+wZ01"), b.find(target)
+    mine, _ = enumerate_qpaths(g, b, start, end, two_photon.pulses, max_len=12)
+    oracle = brute_force_paths(op, b, start, end, two_photon.pulses, max_len=12)
+    assert len(mine) == len(oracle) == count
+    assert {p.kets for p in mine} == oracle
+
+
+def test_negative_length_bound_rejected(two_level):
+    b = enumerate_basis(two_level)
+    g = build_graph(assemble(b, two_level))
+    with pytest.raises(ValueError, match="max_len must be non-negative, got -1"):
+        enumerate_qpaths(g, b, b.find("A.G+w"), b.find("A.X"), max_len=-1)
 
 
 def test_truncation_flag_set_when_bound_cuts():

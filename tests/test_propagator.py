@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qstitch import (
+    StateVector,
     assemble,
     build_entanglement_unit,
     detect,
@@ -249,6 +250,20 @@ def test_evolve_rejects_a_pulse_it_would_drop(two_level):
     for t in (1.2, 1.0):
         with pytest.raises(ValueError, match="pulse times"):
             evolve(c, op, pulses=[PulseDecl(mode=w, time=t)], t_end=1.2, dt=0.4)
+
+
+def test_pulse_window_starts_at_the_start_time(two_photon):
+    b = scenario_basis(two_photon)
+    op = assemble(b, two_photon)
+    c = prepare(b, {"Z.S0+wZ01": 1.0})
+    c = StateVector(c.amplitudes, time=5.0)
+    push = two_photon.pulses[0].mode
+    # a pulse before the start is rejected, not injected at the start
+    with pytest.raises(ValueError, match=r"\[5, 14\.75\]"):
+        evolve(c, op, pulses=[PulseDecl(mode=push, time=2.0)], t_end=10.0, dt=0.25)
+    # the last boundary is start + t_end - dt
+    traj = evolve(c, op, pulses=[PulseDecl(mode=push, time=14.75)], t_end=10.0, dt=0.25)
+    assert [e["time"] for e in traj.events if e["type"] == "pulse"] == [14.75]
 
 
 def test_pulse_on_a_boundary_goes_in_on_time(two_photon):
