@@ -95,11 +95,7 @@ def cmd_basis(args) -> int:
     scheme, _, _ = _load(args.scheme)
     b = basis_mod.enumerate_basis(scheme)
     if args.two_photon is not None:
-        try:
-            modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
-        except KeyError as exc:
-            print(f"error: {_error_text(exc)}", file=sys.stderr)
-            return EXIT_DOMAIN
+        modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
         b = basis_mod.apply_two_photon_extensions(b, scheme, modes)
     if args.full:
         b = scenario_basis(scheme)
@@ -141,12 +137,8 @@ def cmd_paths(args) -> int:
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)
     pulses = () if args.no_pulses else scheme.pulses
-    try:
-        start = b.find(getattr(args, "from"))
-        target = b.find(args.to)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return EXIT_DOMAIN
+    start = b.find(getattr(args, "from"))
+    target = b.find(args.to)
     ok, witness = paths_mod.reachable(graph, b, start, target, pulses)
     all_paths, truncated = paths_mod.enumerate_qpaths(
         graph, b, start, target, pulses, max_len=args.max_len
@@ -224,11 +216,7 @@ def cmd_evolve(args) -> int:
     prep_spec = _parse_prepare(args.prepare) if args.prepare else {
         _default_preparation(scheme, b): 1.0
     }
-    try:
-        state = prepare(b, prep_spec)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {_error_text(exc)}", file=sys.stderr)
-        return EXIT_DOMAIN
+    state = prepare(b, prep_spec)
 
     start = int(state.populations().argmax())
     reach_verdicts = {}
@@ -373,8 +361,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

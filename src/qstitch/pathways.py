@@ -168,32 +168,42 @@ def enumerate_qpaths(
     Paths never revisit a ket and come in depth-first order: graph edges
     in edge order, then the next injection. The second return value flags
     truncation: a path of ``max_len`` steps that did not end at the target
-    had an unvisited next ket, so longer paths may exist.
+    had an unvisited next ket, so longer paths may exist. The search keeps
+    an explicit stack, so a path may be longer than the recursion limit.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
     steps = _layered(g, b, pulses)
     paths, kets, kinds, visited = [], [start], [], {start}
-
-    def walk(ket: int, layer: int) -> bool:
-        """Collect the paths on from (ket, layer); True if the length bound cut one off."""
-        if ket == target:
-            paths.append(_qpath(b, pulses, kets, kinds))
-            return False
-        cut = False
-        for nxt, kind in steps(ket, layer):
+    if start == target:
+        return [_qpath(b, pulses, kets, kinds)], False
+    truncated = False
+    # one frame per path ket below the length bound: its remaining moves and its pulse layer
+    stack = [(iter(steps(start, 0)), 0)]
+    while stack:
+        moves, layer = stack[-1]
+        for nxt, kind in moves:
             if nxt in visited:
                 continue
-            if len(kinds) == max_len:
-                return True
-            visited.add(nxt)
+            if len(kinds) == max_len:  # the start itself, at max_len 0
+                truncated = True
+                break
             kets.append(nxt)
             kinds.append(kind)
-            cut |= walk(nxt, layer + (kind == INJECT))
-            visited.remove(nxt)
+            if nxt == target:
+                paths.append(_qpath(b, pulses, kets, kinds))
+            elif len(kinds) < max_len:
+                visited.add(nxt)
+                layer += kind == INJECT
+                stack.append((iter(steps(nxt, layer)), layer))
+                break
+            elif not truncated:
+                # a ket at the bound: any move on from it would start a longer path
+                truncated = any(k not in visited for k, _ in steps(nxt, layer + (kind == INJECT)))
             kets.pop()
             kinds.pop()
-        return cut
-
-    truncated = walk(start, 0)
+        if stack[-1][0] is moves:  # every move from this ket is done
+            stack.pop()
+            visited.remove(kets.pop())
+            del kinds[-1:]
     return paths, truncated

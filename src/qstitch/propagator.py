@@ -82,15 +82,19 @@ class Trajectory:
 def prepare(b: BasisSet, spec: Mapping[Union[int, str, BasisKet], complex]) -> StateVector:
     """Build the normalized start vector from named amplitude assignments.
 
-    The assignment keys are basis indices, canonical ket names, or kets.
-    The vector is normalized; preparation is logged as a '+' transfer by
-    ``evolve``, not stored in the vector itself.
+    The assignment keys are basis indices, canonical ket names, or kets,
+    and the amplitudes must be finite. The vector is normalized;
+    preparation is logged as a '+' transfer by ``evolve``, not stored in
+    the vector itself.
     """
     if not spec:
         raise ValueError("empty preparation: assign at least one amplitude")
     amps = np.zeros(len(b), dtype=complex)
     for key, value in spec.items():
-        amps[b.find(key)] += complex(value)
+        i, amp = b.find(key), complex(value)
+        if not np.isfinite(amp):
+            raise ValueError(f"preparation amplitude for {key} must be finite, got {value}")
+        amps[i] += amp
     norm = np.linalg.norm(amps)
     if norm <= FLOOR:
         raise ValueError("preparation amplitudes are all zero")
@@ -353,10 +357,11 @@ def evolve(
 ) -> Trajectory:
     """Run a full scenario: coherent segments alternated with lab transfers.
 
-    The run takes t_end / dt steps, which must be a whole number; step k
-    ends at c0.time + k * dt. Pulses are injected at the first step
-    boundary at or after their scheduled time, so each must lie between
-    the start and the last boundary, in [c0.time, c0.time + t_end - dt].
+    t_end and dt must be finite and positive, and the run takes t_end / dt
+    steps, which must be a whole number; step k ends at c0.time + k * dt.
+    Pulses are injected at the first step boundary at or after their
+    scheduled time, so each must lie between the start and the last
+    boundary, in [c0.time, c0.time + t_end - dt].
     Detectors are checked every step. Threshold detectors arm once their
     monitored population has been below threshold and fire on the next
     upward crossing; each detector fires at most once per run. On a
@@ -366,8 +371,9 @@ def evolve(
     are evaluated in blocks of CHUNK steps over the coupling components
     that hold amplitude, and detection is checked over each block at once.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end {t_end:g} is not a whole number of dt {dt:g} steps")

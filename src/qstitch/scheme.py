@@ -10,9 +10,9 @@ Format: UTF-8, line oriented, ``#`` comments, one declaration per line,
 bracketed section headers. Header keys appear before the first section:
 
     unit = model | eV
-    max-photons-per-mode = 1
-    resonance-tolerance = 1e-06
-    gate-tolerance = 1e-06
+    max-photons-per-mode = 1        a non-negative integer
+    resonance-tolerance = 1e-06     >= 0
+    gate-tolerance = 1e-06          > 0
     transfer = 0.0
 
 Sections and declaration shapes:
@@ -23,6 +23,12 @@ Sections and declaration shapes:
                      spinorbit A.X B.Y strength=.. [phase=..]
     [pulses]         MODE_ID time=..
     [detectors]      ID target=A.X mode=ID threshold=.. [rate=..]
+
+The field tables (``_LEVEL_FIELDS`` to ``_DETECTOR_FIELDS``, and
+``_HEADER``) are the format's single definition: one row per field gives
+its key, value kind, requiredness and default, and ``parse_scheme`` reads
+every declaration through them as ``serialize_scheme`` writes it. Every
+number, header values included, goes through one reader and must be finite.
 
 Level references use ``family.label`` syntax (e.g. ``Z.S1``). Energies
 and frequencies are in model units with hbar = 1; ``unit = eV`` only
@@ -47,7 +53,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 # Orbital label -> Lambda quantum number, used as the parity proxy.
 LAMBDA = {"Sigma": 0, "Pi": 1, "Delta": 2}
@@ -238,6 +244,132 @@ def spinorbit_level_violation(a: LevelLabel, b: LevelLabel) -> Optional[tuple[st
 # ---------------------------------------------------------------------------
 
 
+class _Fault(Exception):
+    """A value or declaration that cannot be read: its rule, message and column."""
+
+    def __init__(self, rule: str, message: str, col: int = 1) -> None:
+        super().__init__(message)
+        self.rule, self.col = rule, col
+
+
+def _number(raw: str, what: str, integer: bool = False) -> float:
+    """The one number reader: an int or a finite float, else a ``non-numeric`` fault."""
+    try:
+        value = int(raw) if integer else float(raw)
+    except ValueError:
+        raise _Fault("non-numeric", f"{what} is not {'an integer' if integer else 'a number'}: "
+                                    f"{raw!r}") from None
+    if not math.isfinite(value):
+        raise _Fault("non-numeric", f"{what} must be finite, got {raw!r}")
+    return value
+
+
+def _term(p: _Parser, raw: str, what: str) -> str:
+    if raw not in LAMBDA:
+        raise _Fault("bad-term", f"term must be one of {sorted(LAMBDA)}, got {raw!r}")
+    return raw
+
+
+def _spin(p: _Parser, raw: str, what: str) -> int:
+    spin = _number(raw, what, integer=True)
+    if spin not in SPINS:
+        raise _Fault("bad-spin", f"spin multiplicity must be 1 or 3, got {spin}")
+    return spin
+
+
+def _unit(p: _Parser, raw: str, what: str) -> str:
+    if raw not in ("model", "eV"):
+        raise _Fault("bad-header", f"unit must be 'model' or 'eV', got {raw!r}")
+    return raw
+
+
+def _cap(p: _Parser, raw: str, what: str) -> int:
+    num = _number(raw, what)
+    if num != int(num) or num < 0:
+        raise _Fault("bad-header", "max-photons-per-mode must be a non-negative integer")
+    return int(num)
+
+
+def _tolerance(positive: bool):
+    """Reader of a tolerance header: non-negative, or positive for the energy gate."""
+
+    def read(p: _Parser, raw: str, what: str) -> float:
+        num = _number(raw, what)
+        if num < 0 or (positive and num == 0):
+            bound = "positive" if positive else "non-negative"
+            raise _Fault("bad-header", f"{what} must be {bound}, got {num}")
+        return num
+
+    return read
+
+
+def _resolve(table: dict, key: str, noun: str):
+    if key not in table:
+        raise _Fault("unresolved-reference", f"unknown {noun} {key!r}")
+    return table[key]
+
+
+def _ident(noun: str, tok: tuple[str, int]) -> tuple[str, int]:
+    if not _IDENT_RE.match(tok[0]):
+        raise _Fault("bad-label", f"invalid {noun} {tok[0]!r}", tok[1])
+    return tok
+
+
+class _Kind(NamedTuple):
+    """How one kind of value is read from its file text and written back."""
+
+    read: Callable  # (parser, raw text, "field 'key'") -> value; raises _Fault
+    write: Callable  # value -> file text
+
+
+_FLOAT = _Kind(lambda p, raw, what: _number(raw, what), lambda x: repr(float(x)))
+_INT = _Kind(lambda p, raw, what: _number(raw, what, integer=True), str)
+_TEXT = _Kind(lambda p, raw, what: raw, str)
+_LEVEL = _Kind(lambda p, raw, what: _resolve(p.levels, raw, "level reference"),
+               lambda lv: lv.ref)
+_MODE = _Kind(lambda p, raw, what: _resolve(p.modes, raw, "mode"), lambda m: m.id)
+
+
+class _Field(NamedTuple):
+    """One key=value field of a declaration; the key is the dataclass attribute."""
+
+    key: str
+    kind: _Kind
+    required: bool = True
+    default: object = None  # of an optional field: taken when absent, and not written
+
+
+# The field tables: the single definition of each declaration's key=value
+# fields, read by ``parse_scheme`` and written by ``serialize_scheme``.
+_LEVEL_FIELDS = (_Field("j", _INT), _Field("g", _INT), _Field("term", _Kind(_term, str)),
+                 _Field("spin", _Kind(_spin, str)), _Field("energy", _FLOAT))
+_MODE_FIELDS = (_Field("omega", _FLOAT), _Field("note", _TEXT, False, ""),
+                _Field("transfer", _FLOAT, False))
+_COUPLING_FIELDS = (_Field("mode", _MODE, False), _Field("strength", _FLOAT),
+                    _Field("phase", _FLOAT, False, 0.0))
+_PULSE_FIELDS = (_Field("time", _FLOAT),)
+_DETECTOR_FIELDS = (_Field("target", _LEVEL), _Field("mode", _MODE),
+                    _Field("threshold", _FLOAT), _Field("rate", _FLOAT, False))
+
+# header key -> (Scheme attribute, kind); absent keys keep the Scheme defaults
+_HEADER = {
+    "unit": ("unit", _Kind(_unit, str)),
+    "max-photons-per-mode": ("max_photons", _Kind(_cap, str)),
+    "resonance-tolerance": ("resonance_tolerance", _FLOAT._replace(read=_tolerance(False))),
+    "gate-tolerance": ("gate_tolerance", _FLOAT._replace(read=_tolerance(True))),
+    "transfer": ("transfer", _FLOAT),
+}
+
+# the sections after the families: (name = Scheme attribute, declaration head, field table)
+_SECTIONS = (
+    ("modes", lambda m: m.id, _MODE_FIELDS),
+    ("couplings", lambda c: f"{c.kind} {c.a.ref} {c.b.ref}", _COUPLING_FIELDS),
+    ("pulses", lambda u: u.mode.id, _PULSE_FIELDS),
+    ("detectors", lambda d: d.id, _DETECTOR_FIELDS),
+)
+_DEFERRED = ("couplings", "pulses", "detectors")
+
+
 def _tokens(text: str) -> list[tuple[str, int]]:
     """Split a line into (token, 1-based column) pairs, dropping comments."""
     hash_pos = text.find("#")
@@ -247,279 +379,150 @@ def _tokens(text: str) -> list[tuple[str, int]]:
 
 
 class _Parser:
-    _HEADER_KEYS = {
-        "unit",
-        "max-photons-per-mode",
-        "resonance-tolerance",
-        "gate-tolerance",
-        "transfer",
-    }
-
     def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
         self.header: dict[str, object] = {}
         self.families: list[str] = []
-        self.levels: list[LevelLabel] = []
-        self.modes: list[PhotonMode] = []
-        # raw coupling/pulse/detector rows, resolved after all levels/modes exist
-        self.raw_couplings: list[tuple[list[tuple[str, int]], int]] = []
-        self.raw_pulses: list[tuple[list[tuple[str, int]], int]] = []
-        self.raw_detectors: list[tuple[list[tuple[str, int]], int]] = []
+        self.levels: dict[str, LevelLabel] = {}  # by reference, in file order
+        self.quantum_numbers: dict[tuple[str, int, int], LevelLabel] = {}
+        self.modes: dict[str, PhotonMode] = {}
+        # coupling, pulse and detector rows, resolved once every level and mode exists
+        self.deferred: dict[str, list] = {name: [] for name in _DEFERRED}
 
     def error(self, rule: str, msg: str, line: int, col: int = 1) -> None:
         self.diags.append(Diagnostic(ERROR, rule, msg, line, col))
 
-    # -- field helpers ------------------------------------------------------
+    def declare(self, read: Callable, *args):
+        """Call ``read(*args)``, whose last argument is the line number; a fault is reported."""
+        try:
+            return read(*args)
+        except _Fault as fault:
+            self.error(fault.rule, str(fault), args[-1], fault.col)
+            return None
 
-    def _split_fields(
-        self, toks: list[tuple[str, int]], line: int
-    ) -> Optional[dict[str, tuple[str, int]]]:
-        fields: dict[str, tuple[str, int]] = {}
+    def take(self, kind: _Kind, raw: str, what: str, line: int, col: int):
+        """Read one value, reporting its fault at ``col``; None when it cannot be read."""
+        try:
+            return kind.read(self, raw, what)
+        except _Fault as fault:
+            self.error(fault.rule, str(fault), line, col)
+            return None
+
+    def split(self, toks: list[tuple[str, int]], line: int) -> Optional[dict[str, tuple[str, int]]]:
+        """The key=value tokens by key; None after a token that is not one or a repeated key."""
+        given: dict[str, tuple[str, int]] = {}
         for tok, col in toks:
             if "=" not in tok:
                 self.error("bad-field", f"expected key=value, got {tok!r}", line, col)
                 return None
             key, _, value = tok.partition("=")
-            if key in fields:
+            if key in given:
                 self.error("duplicate-field", f"field {key!r} given twice", line, col)
                 return None
-            fields[key] = (value, col)
-        return fields
+            given[key] = (value, col)
+        return given
 
-    def _take_float(
-        self, fields: dict[str, tuple[str, int]], key: str, line: int, required: bool = True
-    ) -> Optional[float]:
-        if key not in fields:
-            if required:
-                self.error("missing-field", f"missing required field {key!r}", line)
-            return None
-        raw, col = fields.pop(key)
-        try:
-            value = float(raw)
-        except ValueError:
-            self.error("non-numeric", f"field {key!r} is not a number: {raw!r}", line, col)
-            return None
-        if not math.isfinite(value):
-            self.error("non-numeric", f"field {key!r} must be finite, got {raw!r}", line, col)
-            return None
-        return value
+    def fields(self, given: Optional[dict[str, tuple[str, int]]], table: tuple[_Field, ...],
+               line: int) -> Optional[dict[str, object]]:
+        """Read the split fields through a field table, reporting every fault.
 
-    def _take_int(
-        self, fields: dict[str, tuple[str, int]], key: str, line: int
-    ) -> Optional[int]:
-        if key not in fields:
-            self.error("missing-field", f"missing required field {key!r}", line)
+        Returns the values by attribute, with an absent or faulty optional
+        field at its default, or None when the split failed or a required
+        field is absent or faulty. Keys outside the table are reported but
+        do not fail the line.
+        """
+        if given is None:
             return None
-        raw, col = fields.pop(key)
-        try:
-            return int(raw)
-        except ValueError:
-            self.error("non-numeric", f"field {key!r} is not an integer: {raw!r}", line, col)
-            return None
-
-    def _reject_leftovers(self, fields: dict[str, tuple[str, int]], line: int) -> None:
-        for key, (_, col) in fields.items():
+        values = {f.key: f.default for f in table if not f.required}
+        for f in table:
+            if f.key in given:
+                raw, col = given.pop(f.key)
+                value = self.take(f.kind, raw, f"field {f.key!r}", line, col)
+                if value is not None:
+                    values[f.key] = value
+            elif f.required:
+                self.error("missing-field", f"missing required field {f.key!r}", line)
+        for key, (_, col) in given.items():
             self.error("unknown-field", f"unknown field {key!r}", line, col)
+        return values if len(values) == len(table) else None
 
-    # -- section bodies -----------------------------------------------------
+    # -- lines: each raises the _Fault that stops it ---------------------------
 
     def header_line(self, toks: list[tuple[str, int]], line: int) -> None:
         # header lines are "key = value" or "key=value"
-        joined = "".join(t for t, _ in toks)
-        key, eq, value = joined.partition("=")
+        key, eq, value = "".join(t for t, _ in toks).partition("=")
         if not eq:
-            self.error("bad-header", f"expected key = value before first section", line)
-            return
-        key = key.strip()
-        value = value.strip()
-        if key not in self._HEADER_KEYS:
-            self.error("unknown-field", f"unknown header key {key!r}", line)
-            return
-        if key == "unit":
-            if value not in ("model", "eV"):
-                self.error("bad-header", f"unit must be 'model' or 'eV', got {value!r}", line)
-                return
-            self.header["unit"] = value
-            return
-        try:
-            num = float(value)
-        except ValueError:
-            self.error("non-numeric", f"header {key!r} is not a number: {value!r}", line)
-            return
-        if key == "max-photons-per-mode":
-            if num != int(num) or num < 0:
-                self.error("bad-header", "max-photons-per-mode must be a non-negative integer", line)
-                return
-            self.header["max_photons"] = int(num)
-        elif key == "resonance-tolerance":
-            self.header["resonance_tolerance"] = num
-        elif key == "gate-tolerance":
-            self.header["gate_tolerance"] = num
-        else:
-            self.header["transfer"] = num
+            raise _Fault("bad-header", "expected key = value before first section")
+        if key not in _HEADER:
+            raise _Fault("unknown-field", f"unknown header key {key!r}")
+        attr, kind = _HEADER[key]
+        self.header[attr] = kind.read(self, value, f"header {key!r}")
 
     def level_line(self, family: str, toks: list[tuple[str, int]], line: int) -> None:
-        label, col = toks[0]
-        if not _IDENT_RE.match(label):
-            self.error("bad-label", f"invalid level label {label!r}", line, col)
+        label, col = _ident("level label", toks[0])
+        values = self.fields(self.split(toks[1:], line), _LEVEL_FIELDS, line)
+        if values is None:
             return
-        fields = self._split_fields(toks[1:], line)
-        if fields is None:
-            return
-        j = self._take_int(fields, "j", line)
-        g = self._take_int(fields, "g", line)
-        energy = self._take_float(fields, "energy", line)
-        term = fields.pop("term", (None, 1))
-        spin_raw = fields.pop("spin", (None, 1))
-        self._reject_leftovers(fields, line)
-        if None in (j, g, energy) or term[0] is None or spin_raw[0] is None:
-            if term[0] is None:
-                self.error("missing-field", "missing required field 'term'", line)
-            if spin_raw[0] is None:
-                self.error("missing-field", "missing required field 'spin'", line)
-            return
-        if term[0] not in LAMBDA:
-            self.error("bad-term", f"term must be one of {sorted(LAMBDA)}, got {term[0]!r}", line, term[1])
-            return
-        try:
-            spin = int(spin_raw[0])
-        except ValueError:
-            self.error("non-numeric", f"field 'spin' is not an integer: {spin_raw[0]!r}", line, spin_raw[1])
-            return
-        if spin not in SPINS:
-            self.error("bad-spin", f"spin multiplicity must be 1 or 3, got {spin}", line, spin_raw[1])
-            return
+        j, g = values["j"], values["g"]
         if j < 0 or g < 0:
-            self.error("bad-label", "j and g must be non-negative", line)
-            return
-        for lv in self.levels:
-            if lv.family == family and lv.label == label:
-                self.error("duplicate-label", f"level {family}.{label} already declared", line, col)
-                return
-            if lv.family == family and lv.j == j and lv.g == g:
-                self.error(
-                    "duplicate-label",
-                    f"quantum numbers (j={j}, g={g}) already used by {lv.ref}",
-                    line,
-                    col,
-                )
-                return
-        self.levels.append(
-            LevelLabel(family=family, label=label, j=j, g=g, term=term[0], spin=spin,
-                       energy=energy, line=line)
-        )
+            raise _Fault("bad-label", "j and g must be non-negative")
+        if f"{family}.{label}" in self.levels:
+            raise _Fault("duplicate-label", f"level {family}.{label} already declared", col)
+        if (twin := self.quantum_numbers.get((family, j, g))) is not None:
+            raise _Fault("duplicate-label",
+                         f"quantum numbers (j={j}, g={g}) already used by {twin.ref}", col)
+        lv = LevelLabel(family=family, label=label, line=line, **values)
+        self.levels[lv.ref] = self.quantum_numbers[(family, j, g)] = lv
 
     def mode_line(self, toks: list[tuple[str, int]], line: int) -> None:
-        mode_id, col = toks[0]
-        if not _IDENT_RE.match(mode_id):
-            self.error("bad-label", f"invalid mode id {mode_id!r}", line, col)
+        mode_id, col = _ident("mode id", toks[0])
+        if mode_id in self.modes:
+            raise _Fault("duplicate-label", f"mode {mode_id!r} already declared", col)
+        values = self.fields(self.split(toks[1:], line), _MODE_FIELDS, line)
+        if values is None:
             return
-        if any(m.id == mode_id for m in self.modes):
-            self.error("duplicate-label", f"mode {mode_id!r} already declared", line, col)
-            return
-        fields = self._split_fields(toks[1:], line)
-        if fields is None:
-            return
-        omega = self._take_float(fields, "omega", line)
-        note = fields.pop("note", ("", 1))[0]
-        transfer = self._take_float(fields, "transfer", line, required=False)
-        self._reject_leftovers(fields, line)
-        if omega is None:
-            return
-        if omega <= 0:
-            self.error("bad-mode", f"mode omega must be positive, got {omega}", line)
-            return
-        self.modes.append(PhotonMode(id=mode_id, omega=omega, note=note, transfer=transfer, line=line))
+        if values["omega"] <= 0:
+            raise _Fault("bad-mode", f"mode omega must be positive, got {values['omega']}")
+        self.modes[mode_id] = PhotonMode(id=mode_id, line=line, **values)
 
-    # -- reference resolution -----------------------------------------------
-
-    def _resolve_level(self, ref: str, line: int, col: int) -> Optional[LevelLabel]:
-        for lv in self.levels:
-            if lv.ref == ref:
-                return lv
-        self.error("unresolved-reference", f"unknown level reference {ref!r}", line, col)
-        return None
-
-    def _resolve_mode(self, mode_id: str, line: int, col: int) -> Optional[PhotonMode]:
-        for m in self.modes:
-            if m.id == mode_id:
-                return m
-        self.error("unresolved-reference", f"unknown mode {mode_id!r}", line, col)
-        return None
-
-    def resolve_coupling(self, toks: list[tuple[str, int]], line: int) -> Optional[CouplingDecl]:
+    def coupling(self, toks: list[tuple[str, int]], line: int) -> Optional[CouplingDecl]:
         if len(toks) < 3:
-            self.error("bad-declaration", "coupling needs: kind endpoint endpoint fields...", line)
-            return None
+            raise _Fault("bad-declaration", "coupling needs: kind endpoint endpoint fields...")
         kind, kcol = toks[0]
         if kind not in ("dipole", "spinorbit"):
-            self.error("bad-declaration", f"coupling kind must be dipole or spinorbit, got {kind!r}", line, kcol)
+            raise _Fault("bad-declaration",
+                         f"coupling kind must be dipole or spinorbit, got {kind!r}", kcol)
+        a, b = (self.take(_LEVEL, ref, "endpoint", line, col) for ref, col in toks[1:3])
+        given = self.split(toks[3:], line)
+        if a is None or b is None or given is None:
             return None
-        a = self._resolve_level(toks[1][0], line, toks[1][1])
-        b = self._resolve_level(toks[2][0], line, toks[2][1])
-        fields = self._split_fields(toks[3:], line)
-        if a is None or b is None or fields is None:
-            return None
-        if a == b:
-            self.error("bad-declaration", "coupling endpoints must be distinct", line, toks[2][1])
-            return None
-        mode = None
-        if kind == "dipole":
-            if "mode" not in fields:
-                self.error("missing-field", "dipole coupling requires mode=...", line)
-                return None
-            mode_id, mcol = fields.pop("mode")
-            mode = self._resolve_mode(mode_id, line, mcol)
-            if mode is None:
-                return None
-        elif "mode" in fields:
-            _, mcol = fields.pop("mode")
-            self.error("bad-declaration", "spinorbit coupling takes no mode", line, mcol)
-            return None
-        strength = self._take_float(fields, "strength", line)
-        phase = self._take_float(fields, "phase", line, required=False)
-        self._reject_leftovers(fields, line)
-        if strength is None:
-            return None
-        return CouplingDecl(kind=kind, a=a, b=b, mode=mode, strength=strength,
-                            phase=phase or 0.0, line=line)
+        if a is b:
+            raise _Fault("bad-declaration", "coupling endpoints must be distinct", toks[2][1])
+        if kind == "dipole" and "mode" not in given:
+            raise _Fault("missing-field", "dipole coupling requires mode=...")
+        if kind == "spinorbit" and "mode" in given:
+            raise _Fault("bad-declaration", "spinorbit coupling takes no mode", given["mode"][1])
+        values = self.fields(given, _COUPLING_FIELDS, line)
+        return None if values is None else CouplingDecl(kind=kind, a=a, b=b, line=line, **values)
 
-    def resolve_pulse(self, toks: list[tuple[str, int]], line: int) -> Optional[PulseDecl]:
-        mode = self._resolve_mode(toks[0][0], line, toks[0][1])
-        fields = self._split_fields(toks[1:], line)
-        if mode is None or fields is None:
+    def pulse(self, toks: list[tuple[str, int]], line: int) -> Optional[PulseDecl]:
+        mode_id, col = toks[0]
+        mode = self.take(_MODE, mode_id, "mode", line, col)
+        values = self.fields(self.split(toks[1:], line), _PULSE_FIELDS, line)
+        if mode is None or values is None:
             return None
-        time = self._take_float(fields, "time", line)
-        self._reject_leftovers(fields, line)
-        if time is None:
-            return None
-        if time < 0:
-            self.error("bad-declaration", f"pulse time must be non-negative, got {time}", line)
-            return None
-        return PulseDecl(mode=mode, time=time, line=line)
+        if values["time"] < 0:
+            raise _Fault("bad-declaration",
+                         f"pulse time must be non-negative, got {values['time']}")
+        return PulseDecl(mode=mode, line=line, **values)
 
-    def resolve_detector(self, toks: list[tuple[str, int]], line: int) -> Optional[DetectorDecl]:
-        det_id, col = toks[0]
-        if not _IDENT_RE.match(det_id):
-            self.error("bad-label", f"invalid detector id {det_id!r}", line, col)
-            return None
-        fields = self._split_fields(toks[1:], line)
-        if fields is None:
-            return None
-        if "target" not in fields or "mode" not in fields:
-            self.error("missing-field", "detector requires target=... and mode=...", line)
-            return None
-        target_ref, tcol = fields.pop("target")
-        mode_id, mcol = fields.pop("mode")
-        target = self._resolve_level(target_ref, line, tcol)
-        mode = self._resolve_mode(mode_id, line, mcol)
-        threshold = self._take_float(fields, "threshold", line)
-        rate = self._take_float(fields, "rate", line, required=False)
-        self._reject_leftovers(fields, line)
-        if target is None or mode is None or threshold is None:
-            return None
-        return DetectorDecl(id=det_id, target=target, mode=mode, threshold=threshold,
-                            rate=rate, line=line)
+    def detector(self, toks: list[tuple[str, int]], line: int) -> Optional[DetectorDecl]:
+        det_id, _ = _ident("detector id", toks[0])
+        given = self.split(toks[1:], line)
+        if given is not None and ("target" not in given or "mode" not in given):
+            raise _Fault("missing-field", "detector requires target=... and mode=...")
+        values = self.fields(given, _DETECTOR_FIELDS, line)
+        return None if values is None else DetectorDecl(id=det_id, line=line, **values)
 
 
 def parse_scheme(text: str) -> ParseResult:
@@ -527,11 +530,11 @@ def parse_scheme(text: str) -> ParseResult:
 
     Returns a ``ParseResult`` holding either a ``Scheme`` (element order
     preserves file order) or a non-empty list of error diagnostics, never
-    both.
+    both. It never raises on bad input.
     """
     p = _Parser()
     section: Optional[str] = None
-    section_family: Optional[str] = None
+    family = ""
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
@@ -540,65 +543,42 @@ def parse_scheme(text: str) -> ParseResult:
         first, col = toks[0]
         if first.startswith("["):
             header = raw[raw.find("[") :].strip()
-            if not header.endswith("]"):
-                p.error("bad-section", f"unterminated section header {header!r}", line_no, col)
-                section = None
-                continue
             inner = header[1:-1].strip()
             parts = inner.split()
-            if len(parts) == 2 and parts[0] == "family":
-                if not _IDENT_RE.match(parts[1]):
-                    p.error("bad-section", f"invalid family name {parts[1]!r}", line_no, col)
-                    section = None
-                    continue
-                section, section_family = "family", parts[1]
-                if parts[1] not in p.families:
-                    p.families.append(parts[1])
-            elif len(parts) == 1 and parts[0] in ("modes", "couplings", "pulses", "detectors"):
-                section, section_family = parts[0], None
+            section = None
+            if not header.endswith("]"):
+                p.error("bad-section", f"unterminated section header {header!r}", line_no, col)
+            elif len(parts) == 2 and parts[0] == "family" and not _IDENT_RE.match(parts[1]):
+                p.error("bad-section", f"invalid family name {parts[1]!r}", line_no, col)
+            elif len(parts) == 2 and parts[0] == "family":
+                section, family = "family", parts[1]
+                if family not in p.families:
+                    p.families.append(family)
+            elif len(parts) == 1 and parts[0] in ("modes", *_DEFERRED):
+                section = parts[0]
             else:
                 p.error("unknown-section", f"unknown section header [{inner}]", line_no, col)
-                section = None
-            continue
-
-        if section is None:
-            p.header_line(toks, line_no)
+        elif section is None:
+            p.declare(p.header_line, toks, line_no)
         elif section == "family":
-            p.level_line(section_family, toks, line_no)
+            p.declare(p.level_line, family, toks, line_no)
         elif section == "modes":
-            p.mode_line(toks, line_no)
-        elif section == "couplings":
-            p.raw_couplings.append((toks, line_no))
-        elif section == "pulses":
-            p.raw_pulses.append((toks, line_no))
-        elif section == "detectors":
-            p.raw_detectors.append((toks, line_no))
+            p.declare(p.mode_line, toks, line_no)
+        else:
+            p.deferred[section].append((toks, line_no))
 
-    couplings = [c for c in (p.resolve_coupling(t, ln) for t, ln in p.raw_couplings) if c]
-    pulses = [u for u in (p.resolve_pulse(t, ln) for t, ln in p.raw_pulses) if u]
-    detectors = [d for d in (p.resolve_detector(t, ln) for t, ln in p.raw_detectors) if d]
-    seen_det: set[str] = set()
-    for d in detectors:
-        if d.id in seen_det:
+    decls = {name: [d for toks, ln in p.deferred[name]
+                    if (d := p.declare(read, toks, ln)) is not None]
+             for name, read in zip(_DEFERRED, (p.coupling, p.pulse, p.detector))}
+    first_of: dict[str, DetectorDecl] = {}
+    for d in decls["detectors"]:
+        if first_of.setdefault(d.id, d) is not d:
             p.error("duplicate-label", f"detector {d.id!r} already declared", d.line)
-        seen_det.add(d.id)
 
     if p.diags:
         return ParseResult(scheme=None, diagnostics=p.diags)
-
-    scheme = Scheme(
-        unit=p.header.get("unit", "model"),
-        max_photons=p.header.get("max_photons", 1),
-        resonance_tolerance=p.header.get("resonance_tolerance", 1e-6),
-        gate_tolerance=p.header.get("gate_tolerance", 1e-6),
-        transfer=p.header.get("transfer", 0.0),
-        families=tuple(p.families),
-        levels=tuple(p.levels),
-        modes=tuple(p.modes),
-        couplings=tuple(couplings),
-        pulses=tuple(pulses),
-        detectors=tuple(detectors),
-    )
+    scheme = Scheme(**p.header, families=tuple(p.families), levels=tuple(p.levels.values()),
+                    modes=tuple(p.modes.values()), **{n: tuple(d) for n, d in decls.items()})
     return ParseResult(scheme=scheme, diagnostics=[])
 
 
@@ -684,8 +664,10 @@ def has_errors(diags: list[Diagnostic]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _declaration(head: str, decl, table: tuple[_Field, ...]) -> str:
+    values = ((f, getattr(decl, f.key)) for f in table)
+    return " ".join([head] + [f"{f.key}={f.kind.write(v)}" for f, v in values
+                              if f.required or v != f.default])
 
 
 def serialize_scheme(s: Scheme) -> str:
@@ -694,54 +676,11 @@ def serialize_scheme(s: Scheme) -> str:
     Output re-parses to a structurally equal Scheme (declaration order is
     preserved; numbers are written in round-trip precision).
     """
-    out: list[str] = []
-    out.append(f"unit = {s.unit}")
-    out.append(f"max-photons-per-mode = {s.max_photons}")
-    out.append(f"resonance-tolerance = {_fmt(s.resonance_tolerance)}")
-    out.append(f"gate-tolerance = {_fmt(s.gate_tolerance)}")
-    out.append(f"transfer = {_fmt(s.transfer)}")
-
+    out = [f"{key} = {kind.write(getattr(s, attr))}" for key, (attr, kind) in _HEADER.items()]
     for fam in s.families:
-        out.append("")
-        out.append(f"[family {fam}]")
-        for lv in s.levels_of(fam):
-            out.append(
-                f"{lv.label} j={lv.j} g={lv.g} term={lv.term} spin={lv.spin} "
-                f"energy={_fmt(lv.energy)}"
-            )
-
-    out.append("")
-    out.append("[modes]")
-    for m in s.modes:
-        row = f"{m.id} omega={_fmt(m.omega)}"
-        if m.note:
-            row += f" note={m.note}"
-        if m.transfer is not None:
-            row += f" transfer={_fmt(m.transfer)}"
-        out.append(row)
-
-    out.append("")
-    out.append("[couplings]")
-    for c in s.couplings:
-        row = f"{c.kind} {c.a.ref} {c.b.ref}"
-        if c.mode is not None:
-            row += f" mode={c.mode.id}"
-        row += f" strength={_fmt(c.strength)}"
-        if c.phase:
-            row += f" phase={_fmt(c.phase)}"
-        out.append(row)
-
-    out.append("")
-    out.append("[pulses]")
-    for u in s.pulses:
-        out.append(f"{u.mode.id} time={_fmt(u.time)}")
-
-    out.append("")
-    out.append("[detectors]")
-    for d in s.detectors:
-        row = f"{d.id} target={d.target.ref} mode={d.mode.id} threshold={_fmt(d.threshold)}"
-        if d.rate is not None:
-            row += f" rate={_fmt(d.rate)}"
-        out.append(row)
-
+        out += ["", f"[family {fam}]"]
+        out += [_declaration(lv.label, lv, _LEVEL_FIELDS) for lv in s.levels_of(fam)]
+    for name, head, table in _SECTIONS:
+        out += ["", f"[{name}]"]
+        out += [_declaration(head(d), d, table) for d in getattr(s, name)]
     return "\n".join(out) + "\n"

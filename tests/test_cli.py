@@ -8,6 +8,7 @@ import pytest
 from qstitch.cli import main
 
 from conftest import SCHEMES
+from test_scheme import BAD_HEADERS
 
 ONE = str(SCHEMES / "one_photon.scheme")
 TWO = str(SCHEMES / "two_photon.scheme")
@@ -264,3 +265,42 @@ def test_evolve_two_photon_fires_detector_once(tmp_path, capsys):
     # the detector's true precursor is reported reachable
     assert any(v["reachable"] and v["ket"] == "E.S0+wE01+wEt"
                for v in report["reachability"]["emE"])
+
+
+def _two_photon_with(tmp_path, header_line):
+    """The shipped two-photon scheme with one header line replaced."""
+    key = header_line.split("=")[0]
+    lines = (SCHEMES / "two_photon.scheme").read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(key))
+    lines[at] = header_line
+    path = tmp_path / "bad.scheme"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path), at + 1
+
+
+@pytest.mark.parametrize("line, diagnostic", BAD_HEADERS, ids=[h for h, _ in BAD_HEADERS])
+def test_validate_out_of_range_header_exits_one(tmp_path, capsys, line, diagnostic):
+    path, line_no = _two_photon_with(tmp_path, line)
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:{line_no}:1: {diagnostic}\n"
+
+
+@pytest.mark.parametrize(
+    "scheme, flags, message",
+    [
+        (TWO, ["--t-end", "inf"], "t_end must be finite and positive, got inf"),
+        (TWO, ["--dt", "nan"], "dt must be finite and positive, got nan"),
+        (ONE, ["--t-end", "-5"], "t_end must be finite and positive, got -5.0"),
+        (ONE, ["--prepare", "Z.S0+wZ01=nan"],
+         "preparation amplitude for Z.S0+wZ01 must be finite, got (nan+0j)"),
+    ],
+    ids=["t-end-inf", "dt-nan", "t-end-negative", "prepare-nan"],
+)
+def test_evolve_rejects_non_finite_run_inputs(tmp_path, capsys, scheme, flags, message):
+    assert main(["evolve", scheme, "--out", str(tmp_path / "r"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "r.report.json").exists()

@@ -211,3 +211,17 @@ def test_truncation_flag_set_when_bound_cuts():
     long_paths, not_truncated = enumerate_qpaths(g, b, start, target, max_len=6)
     assert not not_truncated
     assert len(long_paths) >= 1
+
+
+def test_path_longer_than_the_recursion_limit():
+    # 1,100 degenerate levels chained by spin-orbit mixing (Sigma singlet, Pi triplet, ...)
+    n = 1100
+    levels = [f"L{k} j={k} g=0 term={('Sigma', 'Pi')[k % 2]} spin={(1, 3)[k % 2]} energy=1.0"
+              for k in range(n)]
+    couplings = [f"spinorbit A.L{k} A.L{k + 1} strength=0.01" for k in range(n - 1)]
+    s = parse_ok("\n".join(["[family A]", *levels, "[couplings]", *couplings]))
+    b = scenario_basis(s)
+    g = build_graph(assemble(b, s))
+    paths, truncated = enumerate_qpaths(g, b, b.find("A.L0"), b.find(f"A.L{n - 1}"), max_len=2000)
+    assert [len(p) for p in paths] == [n - 1]
+    assert not truncated

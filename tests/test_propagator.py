@@ -313,3 +313,29 @@ def test_step_size_insensitivity(two_photon):
     fine = evolve(c, op, pulses=two_photon.pulses, t_end=300.0, dt=0.25, sample_every=4)
     assert np.allclose(coarse.times, fine.times)
     assert np.abs(coarse.populations - fine.populations).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        (float("inf"), 0.25, "t_end must be finite and positive, got inf"),
+        (10.0, float("nan"), "dt must be finite and positive, got nan"),
+        (-5.0, 0.25, "t_end must be finite and positive, got -5.0"),
+        (0.0, 0.25, "t_end must be finite and positive, got 0.0"),
+        (10.0, 0.0, "dt must be finite and positive, got 0.0"),
+    ],
+)
+def test_run_length_must_be_finite_and_positive(two_level, t_end, dt, message):
+    b, op = _setup(two_level)
+    c = prepare(b, {"A.G+w": 1.0})
+    with pytest.raises(ValueError) as exc:
+        evolve(c, op, t_end=t_end, dt=dt)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("amp", [complex("nan"), complex("inf"), complex(0.5, float("nan"))])
+def test_prepare_rejects_non_finite_amplitudes(two_level, amp):
+    b, _ = _setup(two_level)
+    with pytest.raises(ValueError) as exc:
+        prepare(b, {"A.G+w": amp})
+    assert str(exc.value) == f"preparation amplitude for A.G+w must be finite, got {amp}"

@@ -239,3 +239,34 @@ def test_round_trip_fixed_point_over_random_corpus():
         assert second.ok
         assert second.scheme == first.scheme
         assert serialize_scheme(second.scheme) == text1
+
+
+# -- header ranges -----------------------------------------------------------
+
+# (header line, the diagnostic it gives without its position)
+BAD_HEADERS = [
+    ("gate-tolerance = nan",
+     "error: [non-numeric] header 'gate-tolerance' must be finite, got 'nan'"),
+    ("max-photons-per-mode = inf",
+     "error: [non-numeric] header 'max-photons-per-mode' must be finite, got 'inf'"),
+    ("max-photons-per-mode = nan",
+     "error: [non-numeric] header 'max-photons-per-mode' must be finite, got 'nan'"),
+    ("gate-tolerance = 0", "error: [bad-header] header 'gate-tolerance' must be positive, got 0.0"),
+    ("gate-tolerance = -1",
+     "error: [bad-header] header 'gate-tolerance' must be positive, got -1.0"),
+    ("resonance-tolerance = -1",
+     "error: [bad-header] header 'resonance-tolerance' must be non-negative, got -1.0"),
+    ("transfer = inf", "error: [non-numeric] header 'transfer' must be finite, got 'inf'"),
+]
+
+
+@pytest.mark.parametrize("line, diagnostic", BAD_HEADERS, ids=[h for h, _ in BAD_HEADERS])
+def test_out_of_range_header_value_is_one_diagnostic(line, diagnostic):
+    result = parse_scheme(f"{line}\n[modes]\nw omega=1.0\n")
+    assert result.scheme is None
+    assert [str(d) for d in result.diagnostics] == [f"1:1: {diagnostic}"]
+
+
+def test_header_bounds_are_inclusive_where_documented():
+    s = parse_ok("resonance-tolerance = 0\ngate-tolerance = 1e-300\nmax-photons-per-mode = 0\n")
+    assert (s.resonance_tolerance, s.gate_tolerance, s.max_photons) == (0.0, 1e-300, 0)
