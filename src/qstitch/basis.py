@@ -19,18 +19,18 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Union
 
-from .scheme import (
-    LevelLabel,
-    PhotonMode,
-    Scheme,
-    dipole_level_violation,
-    spinorbit_level_violation,
-)
+from .scheme import LevelLabel, PhotonMode, Scheme, level_violation
 
 SECTOR_PRODUCT = "non-entangled"
 SECTOR_ENTANGLED = "entangled"
 
 _SECTOR_RANK = {SECTOR_PRODUCT: 0, SECTOR_ENTANGLED: 1}
+
+# Ceiling on the scenario basis closure. max-photons-per-mode has no upper
+# bound and the closure grows with it (two_photon at cap 565 closes to
+# 16,413 kets); the ceiling sits above the 10,170 kets of the 512-family
+# synthetic scheme.
+MAX_SCENARIO_KETS = 16384
 
 _OCC_RE = re.compile(r"^(?:(\d+)\*)?([A-Za-z_][A-Za-z0-9_\-]*)$")
 _STITCH_RE = re.compile(r"^(\d+)_([A-Za-z_][A-Za-z0-9_\-]*)$")
@@ -415,9 +415,8 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
     # matter level -> (other level, mode, quanta moved) of each legal coupling step
     steps: dict[LevelLabel, list[tuple[LevelLabel, Optional[str], int]]] = {}
     for c in s.couplings:
-        dipole = c.kind == "dipole"
-        if (dipole_level_violation if dipole else spinorbit_level_violation)(c.a, c.b) is None:
-            shifts = [(c.mode.id, 1), (c.mode.id, -1)] if dipole else [(None, 0)]
+        if level_violation(c.kind, c.a, c.b) is None:
+            shifts = [(c.mode.id, 1), (c.mode.id, -1)] if c.kind == "dipole" else [(None, 0)]
             for here, other in ((c.a, c.b), (c.b, c.a)):
                 steps.setdefault(here, []).extend((other, m, d) for m, d in shifts)
 
@@ -441,6 +440,8 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
             if cand not in pool:
                 pool[cand] = None
                 work.append(cand)
+        if len(pool) > MAX_SCENARIO_KETS:
+            raise ValueError(f"scenario basis exceeds {MAX_SCENARIO_KETS} kets")
 
     b = _sorted_basis(s, pool, modes)
     return apply_two_photon_extensions(b, s) if two_photon else b

@@ -4,7 +4,7 @@ Subcommands bind the library into scenario runs driven entirely by a
 scheme file, for scripted use:
 
     qstitch validate SCHEME
-    qstitch basis SCHEME [--format table|json] [--two-photon [MODE ...]]
+    qstitch basis SCHEME [--format table|json] [--two-photon [MODE ...] | --full]
     qstitch paths SCHEME --from KET --to KET [--max-len N] [--no-pulses]
     qstitch evolve SCHEME [propagation flags]
 
@@ -93,12 +93,10 @@ def _basis_rows(b: BasisSet) -> list[dict]:
 
 def cmd_basis(args) -> int:
     scheme, _, _ = _load(args.scheme)
-    b = basis_mod.enumerate_basis(scheme)
+    b = scenario_basis(scheme) if args.full else basis_mod.enumerate_basis(scheme)
     if args.two_photon is not None:
         modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
         b = basis_mod.apply_two_photon_extensions(b, scheme, modes)
-    if args.full:
-        b = scenario_basis(scheme)
     rows = _basis_rows(b)
     if args.format == "json":
         print(json.dumps({"schema": 1, "size": len(rows), "kets": rows},
@@ -208,6 +206,11 @@ def _error_text(exc: Exception) -> str:
     return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_evolve(args) -> int:
     scheme, diags, digest = _load(args.scheme)
     b, op = _run_setup(scheme)
@@ -251,6 +254,8 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         print(f"error: unknown --watch ket: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except OSError as exc:
+        return _cannot_write(csv_path, exc)
 
     final = traj.populations[-1]
     report = {
@@ -270,18 +275,9 @@ def cmd_evolve(args) -> int:
         "pulses": [{"mode": u.mode.id, "time": u.time} for u in scheme.pulses],
         "reachability": reach_verdicts,
         "events": traj.events,
-        "emission": (
-            {
-                "time": traj.emission.time,
-                "detector": traj.emission.detector,
-                "ket": traj.ket_names[traj.emission.ket],
-                "mode": traj.emission.mode,
-                "population": traj.emission.population,
-                "collapsed": traj.emission.collapse_applied,
-            }
-            if traj.emission
-            else None
-        ),
+        # the first emission event, without its event-log tags
+        "emission": next(({k: v for k, v in e.items() if k not in ("type", "transfer")}
+                          for e in traj.events if e["type"] == "emission"), None),
         "final_populations": {
             traj.ket_names[i]: float(final[i]) for i in range(len(final)) if final[i] > FLOOR
         },
@@ -289,8 +285,12 @@ def cmd_evolve(args) -> int:
     }
     if scheme.unit == "eV":
         report["time_unit_fs"] = HBAR_EV_FS
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    text = json.dumps(report, sort_keys=True, indent=2)
+    try:
+        report_path.write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(report_path, exc)
+    print(text)
     return EXIT_OK
 
 
@@ -308,14 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bas = sub.add_parser("basis", help="print the enumerated basis")
     p_bas.add_argument("scheme")
     p_bas.add_argument("--format", choices=("table", "json"), default="table")
-    p_bas.add_argument(
+    extend = p_bas.add_mutually_exclusive_group()
+    extend.add_argument(
         "--two-photon",
         nargs="*",
         default=None,
         metavar="MODE",
         help="append stitched upper kets (default: use scheduled pulse modes)",
     )
-    p_bas.add_argument(
+    extend.add_argument(
         "--full",
         action="store_true",
         help="show the full scenario basis (pulse and coupling closure)",

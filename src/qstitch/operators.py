@@ -28,13 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .basis import SECTOR_ENTANGLED, SECTOR_PRODUCT, BasisKet, BasisSet, ket_name
-from .scheme import (
-    Diagnostic,
-    Scheme,
-    WARNING,
-    dipole_level_violation,
-    spinorbit_level_violation,
-)
+from .scheme import Diagnostic, Scheme, WARNING, level_violation
 
 KINDS = ("dipole", "spinorbit", "transfer")
 
@@ -50,7 +44,7 @@ class SelectionVerdict:
 
 @dataclass(frozen=True)
 class VEntry:
-    """One nonzero off-diagonal contribution, stored on the upper triangle."""
+    """One nonzero upper-triangle pair of V: its coupling kind and summed weight."""
 
     a: int
     b: int
@@ -234,8 +228,7 @@ def selection_check(
                     False, "photon-count", f"spin-orbit mixing conserves occupations, got {diff}"
                 )
 
-        check = dipole_level_violation if kind == "dipole" else spinorbit_level_violation
-        violation = check(a.matter, b.matter)
+        violation = level_violation(kind, a.matter, b.matter)
         if violation is not None:
             rule, detail = violation
             return SelectionVerdict(False, rule, detail)
@@ -256,17 +249,17 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
     Every declared coupling is expanded over all ket pairs whose matter
     labels match its endpoints; pairs that fail any rule are skipped
     (gated pairs are exact zeros). A coupling that induces no pair at all
-    is reported as a dead-coupling warning.
+    is reported as a dead-coupling warning. ``entries`` holds each ket
+    pair once, with the sum of its weights; V is written from them.
     """
     if delta is None:
         delta = s.gate_tolerance
     if delta <= 0:
         raise ValueError("gate tolerance must be positive")
 
-    n = len(b)
     H = np.array([k.energy for k in b.kets], dtype=float)
-    V = np.zeros((n, n), dtype=complex)
-    entries: list[VEntry] = []
+    # (lo, hi) -> [kind, mode, weight summed in contribution order]
+    pairs: dict[tuple[int, int], list] = {}
     warnings: list[Diagnostic] = []
 
     by_matter: dict = {}
@@ -285,9 +278,7 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
                 )
                 if not verdict.allowed:
                     continue
-                V[lo, hi] += weight
-                V[hi, lo] += weight.conjugate()
-                entries.append(VEntry(a=lo, b=hi, kind=c.kind, weight=weight, mode=mode_id))
+                pairs.setdefault((lo, hi), [c.kind, mode_id, 0j])[2] += weight
                 hits += 1
         if hits == 0:
             warnings.append(
@@ -312,36 +303,25 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
             continue
         root = b.modes[ket.stitches[0]]
         tau = s.transfer_strength(root)
-        if tau == 0:
-            continue
-        verdict = selection_check("transfer", b.kets[j], ket, gate_tolerance=delta)
-        if not verdict.allowed:
-            continue
-        lo, hi = (j, i) if j < i else (i, j)
-        V[lo, hi] += tau
-        V[hi, lo] += tau
-        entries.append(VEntry(a=lo, b=hi, kind="transfer", weight=complex(tau), mode=root.id))
+        if tau and selection_check("transfer", b.kets[j], ket, gate_tolerance=delta).allowed:
+            pairs.setdefault((min(i, j), max(i, j)), ["transfer", root.id, 0j])[2] += tau
 
-    return OperatorPair(basis=b, H=H, V=V, gate=delta, entries=tuple(entries), warnings=warnings)
-
-
-def coupled_pairs(op: OperatorPair) -> list[tuple[int, int, tuple[str, ...]]]:
-    """The nonzero upper-triangle pairs (a, b) of V, row-major, with their sorted kinds.
-
-    Pairs come from ``op.entries``; a pair whose weights cancel to an exact
-    zero in V is left out.
-    """
-    kinds: dict[tuple[int, int], set[str]] = {}
-    for e in op.entries:
-        kinds.setdefault((e.a, e.b), set()).add(e.kind)
-    return [(a, b, tuple(sorted(k))) for (a, b), k in sorted(kinds.items()) if op.V[a, b] != 0]
+    # a pair whose weights cancel is no coupling
+    entries = tuple(VEntry(lo, hi, kind, weight, mode)
+                    for (lo, hi), (kind, mode, weight) in sorted(pairs.items()) if weight != 0)
+    V = np.zeros((len(b), len(b)), dtype=complex)
+    for e in entries:
+        V[e.a, e.b] = e.weight
+    # mirrored by addition, so the lower triangle holds 0 + conj(w), signed zeros included
+    V += V.conj().T
+    return OperatorPair(basis=b, H=H, V=V, gate=delta, entries=entries, warnings=warnings)
 
 
 def operator_dump(op: OperatorPair) -> dict:
     """JSON-ready dump: dimension, diagonal, and the nonzero triplets of V."""
     triplets = [
-        {"a": a, "b": b, "re": op.V[a, b].real, "im": op.V[a, b].imag, "kinds": list(kinds)}
-        for a, b, kinds in coupled_pairs(op)
+        {"a": e.a, "b": e.b, "re": e.weight.real, "im": e.weight.imag, "kinds": [e.kind]}
+        for e in op.entries
     ]
     return {
         "schema": 1,

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .basis import BasisSet, ket_name, photon_partner
-from .operators import OperatorPair, coupled_pairs
+from .operators import OperatorPair
 from .scheme import PulseDecl
 
 INJECT = "inject"
@@ -82,7 +82,7 @@ def photon_budget(p: QPath) -> int:
 
 def build_graph(op: OperatorPair) -> CouplingGraph:
     """Extract the exact adjacency of V, annotated with coupling kinds."""
-    return CouplingGraph(op.dimension, tuple(Edge(a, b, k) for a, b, k in coupled_pairs(op)))
+    return CouplingGraph(op.dimension, tuple(Edge(e.a, e.b, (e.kind,)) for e in op.entries))
 
 
 def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> Steps:

@@ -95,10 +95,13 @@ def prepare(b: BasisSet, spec: Mapping[Union[int, str, BasisKet], complex]) -> S
         if not np.isfinite(amp):
             raise ValueError(f"preparation amplitude for {key} must be finite, got {value}")
         amps[i] += amp
-    norm = np.linalg.norm(amps)
-    if norm <= FLOOR:
+    # scaled by the largest magnitude first: the norm of amplitudes above
+    # about 1e154 overflows
+    peak = np.abs(amps).max()
+    if peak <= FLOOR and np.linalg.norm(amps) <= FLOOR:
         raise ValueError("preparation amplitudes are all zero")
-    return StateVector(amplitudes=amps / norm, time=0.0)
+    amps /= peak
+    return StateVector(amplitudes=amps / np.linalg.norm(amps), time=0.0)
 
 
 def step(c: StateVector, op: OperatorPair, dt: float) -> StateVector:
@@ -319,9 +322,9 @@ class _Segment:
     amplitude never leaves them and every other ket stays exactly zero.
     """
 
-    def __init__(self, op: OperatorPair, component: np.ndarray, amps: np.ndarray) -> None:
-        blocks = op.eigenblocks()
-        held = [blocks[i] for i in np.unique(component[np.flatnonzero(amps)])]
+    def __init__(self, op: OperatorPair, amps: np.ndarray) -> None:
+        live = set(np.flatnonzero(amps).tolist())
+        held = [blk for blk in op.eigenblocks() if not live.isdisjoint(blk.kets.tolist())]
         self.kets = np.concatenate([blk.kets for blk in held])
         self.w = np.concatenate([blk.w for blk in held])
         q = np.zeros((len(self.kets), len(self.kets)), dtype=complex)
@@ -395,9 +398,6 @@ def evolve(
     b = op.basis
     n = len(b)
     names = b.names()
-    component = np.zeros(n, dtype=int)
-    for i, blk in enumerate(op.eigenblocks()):
-        component[blk.kets] = i
     rng = np.random.default_rng(seed)
     amps = np.asarray(c0.amplitudes, dtype=complex)
     if not amps.any():
@@ -427,7 +427,7 @@ def evolve(
                            "mode": pulses[p].mode.id})
             p += 1
         k1 = at[p] if p < len(pulses) else n_steps
-        seg = _Segment(op, component, amps)
+        seg = _Segment(op, amps)
         for lo in range(k0, k1, CHUNK):
             steps = np.arange(lo + 1, min(lo + CHUNK, k1) + 1)
             block = seg.amplitudes((steps - k0) * dt)

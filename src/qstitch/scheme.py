@@ -209,33 +209,30 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# Level-pair selection rules (shared with the operator layer)
+# Level-pair selection rules (shared by validation, basis closure and assembly)
 # ---------------------------------------------------------------------------
 
 
-def dipole_level_violation(a: LevelLabel, b: LevelLabel) -> Optional[tuple[str, str]]:
-    """Return (rule, detail) if a one-photon transition a<->b is forbidden."""
-    if a.spin != b.spin:
-        return ("spin", f"dipole cannot change spin multiplicity ({a.spin} -> {b.spin})")
-    if abs(a.lam - b.lam) != 1:
-        return (
-            "parity",
-            f"direct EM transition forbidden: |dLambda| = {abs(a.lam - b.lam)}, need 1 "
-            f"({a.term} <-> {b.term})",
-        )
-    return None
+def level_violation(kind: str, a: LevelLabel, b: LevelLabel) -> Optional[tuple[str, str]]:
+    """Return (rule, detail) if a ``kind`` coupling may not link levels a and b.
 
-
-def spinorbit_level_violation(a: LevelLabel, b: LevelLabel) -> Optional[tuple[str, str]]:
-    """Return (rule, detail) if a spin-orbit mixing a<->b is forbidden."""
-    if abs(a.spin - b.spin) != 2:
-        return ("spin", f"spin-orbit mixing links singlet and triplet, got {a.spin} <-> {b.spin}")
-    if abs(a.lam - b.lam) != 1:
-        return (
-            "parity",
-            f"spin-orbit mixing requires |dLambda| = 1, got {abs(a.lam - b.lam)} "
-            f"({a.term} <-> {b.term})",
-        )
+    A dipole keeps the spin multiplicity, a spin-orbit mixing links singlet
+    and triplet; both change Lambda by exactly one.
+    """
+    dlam = abs(a.lam - b.lam)
+    if kind == "dipole":
+        if a.spin != b.spin:
+            return ("spin", f"dipole cannot change spin multiplicity ({a.spin} -> {b.spin})")
+        if dlam != 1:
+            return ("parity", f"direct EM transition forbidden: |dLambda| = {dlam}, need 1 "
+                              f"({a.term} <-> {b.term})")
+    else:
+        if abs(a.spin - b.spin) != 2:
+            return ("spin", "spin-orbit mixing links singlet and triplet, "
+                            f"got {a.spin} <-> {b.spin}")
+        if dlam != 1:
+            return ("parity", f"spin-orbit mixing requires |dLambda| = 1, got {dlam} "
+                              f"({a.term} <-> {b.term})")
     return None
 
 
@@ -610,8 +607,7 @@ def validate_scheme(s: Scheme) -> list[Diagnostic]:
             )
 
     for c in s.couplings:
-        check = dipole_level_violation if c.kind == "dipole" else spinorbit_level_violation
-        violation = check(c.a, c.b)
+        violation = level_violation(c.kind, c.a, c.b)
         if violation is not None:
             rule, detail = violation
             diags.append(

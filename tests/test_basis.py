@@ -1,5 +1,7 @@
 """Basis enumeration, ordering, and the two-photon extension."""
 
+import dataclasses
+
 import pytest
 
 from qstitch import (
@@ -14,7 +16,7 @@ from qstitch import (
     scenario_basis,
     total_energy,
 )
-from qstitch.basis import BasisSet, make_ket
+from qstitch.basis import MAX_SCENARIO_KETS, BasisSet, make_ket
 from qstitch.scheme import LevelLabel, PhotonMode
 
 from conftest import parse_ok, random_scheme
@@ -212,3 +214,11 @@ def test_photon_partner_respects_cap(unit_scheme):
     assert photon_partner(b, dressed, w) is None  # max-photons-per-mode = 1
     bare = b.kets[b.find("A.X")]
     assert photon_partner(b, bare, w) is None  # partner ket not enumerated
+
+
+def test_scenario_basis_stops_at_the_ket_ceiling(two_photon):
+    # the closure adds about 29 kets per unit of cap, so this would not finish
+    huge = dataclasses.replace(two_photon, max_photons=10**6)
+    with pytest.raises(ValueError) as exc:
+        scenario_basis(huge)
+    assert str(exc.value) == f"scenario basis exceeds {MAX_SCENARIO_KETS} kets"

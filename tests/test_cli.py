@@ -304,3 +304,51 @@ def test_evolve_rejects_non_finite_run_inputs(tmp_path, capsys, scheme, flags, m
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "r.report.json").exists()
+
+
+def test_basis_two_photon_and_full_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", ONE, "--two-photon", "push", "--full"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --full: not allowed with argument --two-photon" in captured.err
+
+
+def test_basis_over_the_ket_ceiling_exits_one(tmp_path, capsys):
+    path, _ = _two_photon_with(tmp_path, "max-photons-per-mode = 1e300")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["basis", path, "--full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario basis exceeds 16384 kets\n"
+
+
+def test_evolve_output_in_a_missing_directory_exits_two(tmp_path, capsys):
+    csv_path = tmp_path / "missing" / "run.trajectory.csv"
+    assert main(["evolve", ONE, "--out", str(tmp_path / "missing" / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {csv_path}: "
+                            f"[Errno 2] No such file or directory: '{csv_path}'\n")
+
+
+def test_evolve_report_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    report_path = tmp_path / "run.report.json"
+    report_path.mkdir()
+    assert main(["evolve", ONE, "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {report_path}: "
+                            f"[Errno 21] Is a directory: '{report_path}'\n")
+
+
+def test_evolve_prepares_a_huge_amplitude(tmp_path, capsys):
+    out = []
+    for amp in ("1", "1e200"):
+        assert main(["evolve", ONE, "--prepare", f"Z.S0+wZ01={amp}",
+                     "--out", str(tmp_path / amp)]) == 0
+        out.append(json.loads(capsys.readouterr().out))
+    assert out[1]["final_populations"] == out[0]["final_populations"]
+    assert out[1]["events"] == out[0]["events"]

@@ -15,7 +15,7 @@ from qstitch.basis import SECTOR_ENTANGLED, SECTOR_PRODUCT, make_ket
 from qstitch.operators import operator_dump
 from qstitch.scheme import LevelLabel, PhotonMode
 
-from conftest import parse_ok, random_scheme
+from conftest import TWO_LEVEL_TEXT, parse_ok, random_scheme
 
 
 def _ket(term, spin, energy, occ, modes, sector=SECTOR_PRODUCT, stitches=(), j=0):
@@ -211,3 +211,31 @@ def test_operator_dump_mirrors_matrix(two_photon):
     assert {(e["a"], e["b"]) for e in dump["entries"]} == nz
     for e in dump["entries"]:
         assert op.V[e["a"], e["b"]] == complex(e["re"], e["im"])
+
+
+def _declared_twice(first: float, second: float):
+    return parse_ok(TWO_LEVEL_TEXT.replace(
+        "dipole A.G A.X mode=w strength=0.05\n",
+        f"dipole A.G A.X mode=w strength={first}\ndipole A.G A.X mode=w strength={second}\n",
+    ))
+
+
+def test_entries_list_each_coupled_pair_once_with_its_summed_weight():
+    s = _declared_twice(0.02, 0.03)
+    op = assemble(scenario_basis(s), s)
+    upper = [(int(i), int(j)) for i, j in zip(*np.nonzero(op.V)) if i < j]
+    assert upper  # the product and the entangled pair
+    assert [(e.a, e.b) for e in op.entries] == upper
+    for e in op.entries:
+        assert (e.kind, e.mode) == ("dipole", "w")
+        assert e.weight == op.V[e.a, e.b] == 0.02 + 0.03
+    assert op.warnings == []
+
+
+def test_cancelling_weights_leave_no_entry_and_a_zero_in_v():
+    s = _declared_twice(0.02, -0.02)
+    op = assemble(scenario_basis(s), s)
+    assert op.entries == ()
+    assert np.all(op.V == 0)
+    assert operator_dump(op)["entries"] == []
+    assert op.warnings == []  # each coupling still induces its pairs

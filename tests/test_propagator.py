@@ -339,3 +339,12 @@ def test_prepare_rejects_non_finite_amplitudes(two_level, amp):
     with pytest.raises(ValueError) as exc:
         prepare(b, {"A.G+w": amp})
     assert str(exc.value) == f"preparation amplitude for A.G+w must be finite, got {amp}"
+
+
+def test_prepare_scales_huge_amplitudes_before_the_norm(one_photon):
+    b = enumerate_basis(one_photon)
+    huge = prepare(b, {"Z.S0+wZ01": 1e200}).amplitudes
+    assert np.array_equal(huge, prepare(b, {"Z.S0+wZ01": 1.0}).amplitudes)
+    pair = prepare(b, {"Z.S0+wZ01": 1e200, "E.S0+wE01": 1e200j})
+    assert pair.amplitudes[b.find("Z.S0+wZ01")] == 1 / np.sqrt(2)
+    assert pair.amplitudes[b.find("E.S0+wE01")] == 1j / np.sqrt(2)
