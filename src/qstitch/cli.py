@@ -177,7 +177,11 @@ def _parse_prepare(spec: str) -> dict[str, complex]:
         if not piece:
             continue
         name, _, amp = piece.partition("=")
-        out[name.strip()] = complex(amp.strip()) if amp else 1.0
+        try:
+            out[name.strip()] = complex(amp.strip()) if amp else 1.0
+        except ValueError:
+            raise ValueError(f"--prepare amplitude {amp.strip()!r} for {name.strip()} "
+                             "is not a number") from None
     return out
 
 

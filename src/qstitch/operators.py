@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -59,24 +60,44 @@ class EigenBlock(NamedTuple):
     kets: np.ndarray  # basis indices of the component, ascending
     w: np.ndarray  # eigenvalues, ascending
     q: np.ndarray  # eigenvectors as columns; row r belongs to ket kets[r]
+    h: np.ndarray  # H + V on the component, rows and columns in kets order
 
 
 @dataclass
 class OperatorPair:
-    """Diagonal H plus hermitian V over a fixed basis, gate included."""
+    """Diagonal H plus V, held once as its upper-triangle ``entries``, gate included."""
 
     basis: BasisSet
     H: np.ndarray
-    V: np.ndarray
     gate: float
     entries: tuple[VEntry, ...]
     warnings: list[Diagnostic] = field(default_factory=list)
     _blocks: Optional[tuple[EigenBlock, ...]] = field(default=None, repr=False)
     _eig: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        for e in self.entries:
+            if not 0 <= e.a < e.b < self.dimension:
+                raise ValueError(f"V entry ({e.a}, {e.b}) is off the upper triangle")
+            if not cmath.isfinite(e.weight):
+                a, b = (ket_name(self.basis.kets[i]) for i in (e.a, e.b))
+                raise ValueError(f"coupling weight {e.weight} between {a} and {b} is not finite")
+        if len({(e.a, e.b) for e in self.entries}) < len(self.entries):
+            raise ValueError("V lists a ket pair more than once")
+
     @property
     def dimension(self) -> int:
         return len(self.H)
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """The dense coupling matrix, hermitian by construction: a view built on first access."""
+        return _mirrored((self.dimension, self.dimension), *self._pairs())
+
+    def _pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        a = np.array([e.a for e in self.entries], dtype=int)
+        b = np.array([e.b for e in self.entries], dtype=int)
+        return (a, b), np.array([e.weight for e in self.entries], dtype=complex)
 
     def eigenblocks(self) -> tuple[EigenBlock, ...]:
         """One eigendecomposition per connected component of V, cached.
@@ -86,24 +107,22 @@ class OperatorPair:
         Components are ordered by their first ket.
         """
         if self._blocks is None:
-            rows, cols = np.nonzero(self.V)
-            # hermiticity is guaranteed by construction; check before handing
-            # the matrix to a solver that silently assumes it (entries zero
-            # on both sides of the diagonal cannot break it)
-            skew = np.abs(self.V[rows, cols] - self.V[cols, rows].conj()).max(initial=0.0)
-            if skew != 0.0:
-                raise ValueError(f"coupling matrix V is not hermitian (max |V - V^H| = {skew:g})")
-            # one stacked eigh per component size: components are many and small
-            by_size: dict[int, list[np.ndarray]] = {}
-            for kets in _components(self.dimension, rows, cols):
-                by_size.setdefault(len(kets), []).append(kets)
+            (a, b), weights = self._pairs()
+            roots = _components(self.dimension, a, b)
+            size = np.bincount(roots, minlength=self.dimension)[roots]
+            place = np.empty(self.dimension, dtype=int)  # a ket's cell in its size's stack
             blocks = []
-            for size, group in by_size.items():
-                kets = np.array(group)
-                h = self.V[kets[:, :, None], kets[:, None, :]]
-                h[:, range(size), range(size)] += self.H[kets]
+            # one stacked eigh per component size: components are many and small
+            for m in sorted(set(size.tolist())):
+                kets = np.flatnonzero(size == m)
+                kets = kets[np.argsort(roots[kets], kind="stable")].reshape(-1, m)
+                place[kets] = np.arange(kets.size).reshape(kets.shape)
+                mine = size[a] == m
+                pa, pb = place[a[mine]], place[b[mine]]
+                h = _mirrored((len(kets), m, m), (pa // m, pa % m, pb % m), weights[mine])
+                h[:, range(m), range(m)] += self.H[kets]
                 w, q = np.linalg.eigh(h)
-                blocks += map(EigenBlock, kets, w, q)
+                blocks += map(EigenBlock, kets, w, q, h)
             self._blocks = tuple(sorted(blocks, key=lambda blk: blk.kets[0]))
         return self._blocks
 
@@ -114,27 +133,29 @@ class OperatorPair:
         the component its eigenvalue belongs to.
         """
         if self._eig is None:
-            n = self.dimension
             blocks = self.eigenblocks()
-            w = np.zeros(n)
-            col = 0
-            for blk in blocks:
-                w[col : col + len(blk.w)] = blk.w
-                col += len(blk.w)
+            w = np.concatenate([np.zeros(0)] + [blk.w for blk in blocks])
             order = np.argsort(w, kind="stable")
-            rank = np.empty(n, dtype=int)
-            rank[order] = np.arange(n)
-            q = np.zeros((n, n), dtype=complex)
-            col = 0
-            for blk in blocks:
-                q[np.ix_(blk.kets, rank[col : col + len(blk.w)])] = blk.q
-                col += len(blk.w)
+            rank = np.argsort(order)  # each eigenvalue's place in ascending order
+            q = np.zeros((len(w), len(w)), dtype=complex)
+            cols = np.split(rank, np.cumsum([len(blk.w) for blk in blocks]))
+            for blk, col in zip(blocks, cols):
+                q[np.ix_(blk.kets, col)] = blk.q
             self._eig = (w[order], q)
         return self._eig
 
 
-def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-    """Ket index arrays of the connected components of the graph with edges (rows, cols)."""
+def _mirrored(shape: tuple, index: tuple, weights: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (stacked on the leading axes) from upper-triangle weights."""
+    m = np.zeros(shape, dtype=complex)
+    m[index] = weights
+    # mirrored by addition, so the lower triangle holds 0 + conj(w), signed zeros included
+    m += m.conj().swapaxes(-1, -2)
+    return m
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each ket's component label (its first ket) in the graph with edges (rows, cols)."""
     parent = list(range(n))
 
     def root(i: int) -> int:
@@ -144,12 +165,9 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
         return i
 
     for i, j in zip(rows.tolist(), cols.tolist()):
-        ri, rj = root(i), root(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([root(i) for i in range(n)], dtype=int)
-    order = np.argsort(roots, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1) if n else []
+        ri, rj = sorted((root(i), root(j)))
+        parent[rj] = ri
+    return np.array([root(i) for i in range(n)], dtype=int)
 
 
 def _occupation_diff(a: BasisKet, b: BasisKet) -> dict[str, int]:
@@ -250,7 +268,7 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
     labels match its endpoints; pairs that fail any rule are skipped
     (gated pairs are exact zeros). A coupling that induces no pair at all
     is reported as a dead-coupling warning. ``entries`` holds each ket
-    pair once, with the sum of its weights; V is written from them.
+    pair once, with the sum of its weights, and is the only stored form of V.
     """
     if delta is None:
         delta = s.gate_tolerance
@@ -309,12 +327,7 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
     # a pair whose weights cancel is no coupling
     entries = tuple(VEntry(lo, hi, kind, weight, mode)
                     for (lo, hi), (kind, mode, weight) in sorted(pairs.items()) if weight != 0)
-    V = np.zeros((len(b), len(b)), dtype=complex)
-    for e in entries:
-        V[e.a, e.b] = e.weight
-    # mirrored by addition, so the lower triangle holds 0 + conj(w), signed zeros included
-    V += V.conj().T
-    return OperatorPair(basis=b, H=H, V=V, gate=delta, entries=entries, warnings=warnings)
+    return OperatorPair(basis=b, H=H, gate=delta, entries=entries, warnings=warnings)
 
 
 def operator_dump(op: OperatorPair) -> dict:

@@ -35,6 +35,9 @@ from .scheme import DetectorDecl, PhotonMode, PulseDecl
 # Amplitudes below this magnitude are treated as numerically unpopulated.
 FLOOR = 1e-12
 
+# The most steps one run may take (t_end / dt); the shipped default is 2,400.
+MAX_STEPS = 10_000_000
+
 
 @dataclass
 class StateVector:
@@ -304,17 +307,6 @@ def detect(
 CHUNK = 128
 
 
-def _restricted_h(op: OperatorPair, kets: np.ndarray) -> np.ndarray:
-    return np.diag(op.H[kets]).astype(complex) + op.V[np.ix_(kets, kets)]
-
-
-def _energy(op: OperatorPair, amps: np.ndarray) -> float:
-    """<c|H + V|c>, summed over the kets that hold amplitude."""
-    kets = np.flatnonzero(amps)
-    a = amps[kets]
-    return float(np.real(a.conj() @ (_restricted_h(op, kets) @ a)))
-
-
 class _Segment:
     """Exact evolution of one coherent segment over the components holding amplitude.
 
@@ -327,15 +319,15 @@ class _Segment:
         held = [blk for blk in op.eigenblocks() if not live.isdisjoint(blk.kets.tolist())]
         self.kets = np.concatenate([blk.kets for blk in held])
         self.w = np.concatenate([blk.w for blk in held])
-        q = np.zeros((len(self.kets), len(self.kets)), dtype=complex)
+        q, self.h = np.zeros((2, len(self.kets), len(self.kets)), dtype=complex)
         lo = 0
         for blk in held:
             hi = lo + len(blk.kets)
             q[lo:hi, lo:hi] = blk.q
+            self.h[lo:hi, lo:hi] += blk.h
             lo = hi
         self.qt = q.T
         self.coef = q.conj().T @ amps[self.kets]
-        self.h = _restricted_h(op, self.kets)
 
     def amplitudes(self, elapsed: np.ndarray) -> np.ndarray:
         """Amplitudes on ``kets``, one row per elapsed time since the segment start."""
@@ -361,7 +353,8 @@ def evolve(
     """Run a full scenario: coherent segments alternated with lab transfers.
 
     t_end and dt must be finite and positive, and the run takes t_end / dt
-    steps, which must be a whole number; step k ends at c0.time + k * dt.
+    steps, which must be a whole number of at most MAX_STEPS; step k ends
+    at c0.time + k * dt.
     Pulses are injected at the first step boundary at or after their
     scheduled time, so each must lie between the start and the last
     boundary, in [c0.time, c0.time + t_end - dt].
@@ -377,6 +370,9 @@ def evolve(
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not t_end / dt <= MAX_STEPS:
+        raise ValueError(f"t_end {t_end:g} / dt {dt:g} is {t_end / dt:g} steps, "
+                         f"above the ceiling of {MAX_STEPS:,}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"t_end {t_end:g} is not a whole number of dt {dt:g} steps")
@@ -411,14 +407,15 @@ def evolve(
     first_emission: Optional[EmissionEvent] = None
     samples: list[tuple] = []  # (times, populations, norms, energies) per sampled block
 
-    def sample_state(c: StateVector) -> None:
-        samples.append(([c.time], c.populations()[None, :], [c.norm], [_energy(op, c.amplitudes)]))
+    def sample_state(c: StateVector, seg: _Segment) -> None:
+        samples.append(([c.time], c.populations()[None, :], [c.norm],
+                        seg.energies(c.amplitudes[seg.kets][None, :])))
 
     def trajectory() -> Trajectory:
         times, populations, norms, energies = (np.concatenate(x) for x in zip(*samples))
         return Trajectory(names, times, populations, norms, energies, events, first_emission)
 
-    sample_state(c0)
+    sample_state(c0, _Segment(op, amps))
     k0, p = 0, 0
     while k0 < n_steps:
         while p < len(pulses) and at[p] <= k0:
@@ -468,7 +465,7 @@ def evolve(
             if stop is not None:
                 amps = np.zeros(n, dtype=complex)
                 amps[seg.kets] = block[stop]
-                sample_state(collapse_onto(StateVector(amps, emission.time), ket))
+                sample_state(collapse_onto(StateVector(amps, emission.time), ket), seg)
                 return trajectory()
         amps = np.zeros(n, dtype=complex)
         amps[seg.kets] = block[-1]

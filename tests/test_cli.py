@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qstitch import OperatorPair
 from qstitch.cli import main
 
 from conftest import SCHEMES
@@ -295,8 +296,15 @@ def test_validate_out_of_range_header_exits_one(tmp_path, capsys, line, diagnost
         (ONE, ["--t-end", "-5"], "t_end must be finite and positive, got -5.0"),
         (ONE, ["--prepare", "Z.S0+wZ01=nan"],
          "preparation amplitude for Z.S0+wZ01 must be finite, got (nan+0j)"),
+        (ONE, ["--prepare", "Z.S0+wZ01=abc"],
+         "--prepare amplitude 'abc' for Z.S0+wZ01 is not a number"),
+        (ONE, ["--t-end", "1e300", "--dt", "1e-300"],
+         "t_end 1e+300 / dt 1e-300 is inf steps, above the ceiling of 10,000,000"),
+        (ONE, ["--t-end", "1e9", "--dt", "1e-3"],
+         "t_end 1e+09 / dt 0.001 is 1e+12 steps, above the ceiling of 10,000,000"),
     ],
-    ids=["t-end-inf", "dt-nan", "t-end-negative", "prepare-nan"],
+    ids=["t-end-inf", "dt-nan", "t-end-negative", "prepare-nan", "prepare-not-a-number",
+         "steps-overflow", "steps-above-ceiling"],
 )
 def test_evolve_rejects_non_finite_run_inputs(tmp_path, capsys, scheme, flags, message):
     assert main(["evolve", scheme, "--out", str(tmp_path / "r"), *flags]) == 1
@@ -352,3 +360,36 @@ def test_evolve_prepares_a_huge_amplitude(tmp_path, capsys):
         out.append(json.loads(capsys.readouterr().out))
     assert out[1]["final_populations"] == out[0]["final_populations"]
     assert out[1]["events"] == out[0]["events"]
+
+
+def test_overflowing_coupling_weight_exits_one(tmp_path, capsys):
+    # two finite strengths on one ket pair sum to an infinite weight
+    text = (SCHEMES / "one_photon.scheme").read_text(encoding="utf-8").replace(
+        "dipole Z.S0 Z.S1 mode=wZ01 strength=0.02",
+        "dipole Z.S0 Z.S1 mode=wZ01 strength=1e308\n"
+        "dipole Z.S1 Z.S0 mode=wZ01 strength=1e308")
+    path = tmp_path / "overflow.scheme"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    for argv in (["operator", str(path)],
+                 ["paths", str(path), "--from", "Z.S0+wZ01", "--to", "E.S0+wE01"],
+                 ["evolve", str(path), "--out", str(tmp_path / "r")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coupling weight (inf+0j) between Z.S0+wZ01 and Z.S1 is not finite\n")
+
+
+@pytest.mark.parametrize("scheme", [ONE, TWO])
+def test_subcommands_never_build_the_dense_v(tmp_path, capsys, monkeypatch, scheme):
+    def refuse(op):
+        raise AssertionError("dense V built")
+
+    monkeypatch.setattr(OperatorPair, "V", property(refuse))
+    for argv in (["operator", scheme],
+                 ["paths", scheme, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01"],
+                 ["evolve", scheme, "--out", str(tmp_path / "r")]):
+        assert main(argv) == 0
+    capsys.readouterr()

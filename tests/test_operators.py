@@ -12,7 +12,7 @@ from qstitch import (
     selection_check,
 )
 from qstitch.basis import SECTOR_ENTANGLED, SECTOR_PRODUCT, make_ket
-from qstitch.operators import operator_dump
+from qstitch.operators import VEntry, operator_dump
 from qstitch.scheme import LevelLabel, PhotonMode
 
 from conftest import TWO_LEVEL_TEXT, parse_ok, random_scheme
@@ -114,13 +114,33 @@ def test_zero_couplings_give_zero_matrix():
     assert np.allclose(op.H, [k.energy for k in b.kets])
 
 
-def test_eig_rejects_non_hermitian_v(unit_scheme):
-    b = enumerate_basis(unit_scheme)
-    v = np.zeros((len(b), len(b)), dtype=complex)
-    v[0, 1] = 0.1
-    op = OperatorPair(basis=b, H=np.zeros(len(b)), V=v, gate=1e-3, entries=())
-    with pytest.raises(ValueError, match="not hermitian"):
-        op.eig()
+@pytest.mark.parametrize(
+    "a, b, weight, message",
+    [
+        (1, 0, 0.1, r"V entry \(1, 0\) is off the upper triangle"),
+        (0, 0, 0.1, r"V entry \(0, 0\) is off the upper triangle"),
+        (0, 4, 0.1, r"V entry \(0, 4\) is off the upper triangle"),
+        (-1, 1, 0.1, r"V entry \(-1, 1\) is off the upper triangle"),
+        (0, 1, 0.2, r"V lists a ket pair more than once"),
+        (2, 3, complex("inf"), r"coupling weight \(inf\+0j\) between .+ and .+ is not finite"),
+        (2, 3, complex("nan"), r"coupling weight \(nan\+0j\) between .+ and .+ is not finite"),
+    ],
+    ids=["a-above-b", "diagonal", "out-of-range", "negative", "duplicate", "inf", "nan"],
+)
+def test_operator_rejects_malformed_entries(unit_scheme, a, b, weight, message):
+    unit = build_entanglement_unit(unit_scheme.level("A.G"), unit_scheme.level("A.X"),
+                                   unit_scheme.mode("w"))
+    entries = (VEntry(0, 1, "dipole", 0.1), VEntry(a, b, "dipole", weight))
+    with pytest.raises(ValueError, match=message):
+        OperatorPair(basis=unit, H=np.zeros(len(unit)), gate=1e-3, entries=entries)
+
+
+def test_dense_v_is_built_from_the_entries_on_first_access(two_photon):
+    op = assemble(scenario_basis(two_photon), two_photon)
+    op.eigenblocks()
+    assert "V" not in vars(op)
+    assert op.V is op.V
+    assert np.count_nonzero(op.V) == 2 * len(op.entries)
 
 
 def test_four_ket_unit_matches_hand_built_matrix(unit_scheme):

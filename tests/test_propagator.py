@@ -1,5 +1,7 @@
 """Propagation, pulse injection, detection, and full scenario runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from qstitch import (
     step,
 )
 from qstitch.scheme import DetectorDecl, PulseDecl
+
+from conftest import parse_ok
+from test_ket_order_golden import _synth
 
 
 def _setup(scheme):
@@ -348,3 +353,20 @@ def test_prepare_scales_huge_amplitudes_before_the_norm(one_photon):
     pair = prepare(b, {"Z.S0+wZ01": 1e200, "E.S0+wE01": 1e200j})
     assert pair.amplitudes[b.find("Z.S0+wZ01")] == 1 / np.sqrt(2)
     assert pair.amplitudes[b.find("E.S0+wE01")] == 1j / np.sqrt(2)
+
+
+def test_assemble_and_evolve_stay_sparse_at_1024_kets():
+    # a dense V over these kets alone would take 1024**2 * 16 bytes = 16.8 MB
+    s = parse_ok(_synth().synthetic_scheme(64, np.random.default_rng(0)))
+    b = scenario_basis(s)
+    assert len(b) == 1024
+    c0 = prepare(b, {"F0.S0+w0": 1.0})
+    tracemalloc.start()
+    try:
+        op = assemble(b, s)
+        evolve(c0, op, pulses=s.pulses, detectors=s.detectors, t_end=400.0, dt=0.25,
+               sample_every=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
