@@ -104,15 +104,11 @@ def ket_name(ket: BasisKet) -> str:
 
 @dataclass(frozen=True)
 class BasisSet:
-    """An ordered, de-duplicated sequence of basis kets with an index map."""
+    """An ordered, de-duplicated sequence of kets over one scheme, with an index map."""
 
     kets: tuple[BasisKet, ...]
-    modes: Mapping[str, PhotonMode]
-    levels: tuple[LevelLabel, ...]
-    family_rank: Mapping[str, int]
-    max_photons: int = 1
-    resonance_tolerance: float = 1e-6
-    index: Mapping[BasisKet, int] = field(default=None, repr=False)
+    scheme: Scheme
+    index: Mapping[BasisKet, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: dict[BasisKet, int] = {}
@@ -126,6 +122,10 @@ class BasisSet:
                 raise ValueError("entangled kets must follow all non-entangled kets")
             last_sector = rank
         object.__setattr__(self, "index", seen)
+
+    @property
+    def modes(self) -> Mapping[str, PhotonMode]:
+        return self.scheme.modes_by_id
 
     def __len__(self) -> int:
         return len(self.kets)
@@ -152,20 +152,17 @@ class BasisSet:
 
 
 def parse_ket_spec(spec: str, basis: BasisSet) -> BasisKet:
-    """Parse a canonical ket name against a basis' level/mode tables."""
+    """Parse a canonical ket name against the levels and modes of a basis' scheme."""
     spec = spec.strip()
     matter_part, semi, rest = spec.partition(";")
     extras = ""
     if not semi:
         matter_part, _, extras = spec.partition("+")
         rest = ""
-    level = None
-    for lv in basis.levels:
-        if lv.ref == matter_part:
-            level = lv
-            break
-    if level is None:
-        raise KeyError(f"unknown level reference {matter_part!r} in ket spec {spec!r}")
+    try:
+        level = basis.scheme.level(matter_part)
+    except KeyError:
+        raise KeyError(f"unknown level reference {matter_part!r} in ket spec {spec!r}") from None
 
     photons: dict[str, int] = {}
     stitches: tuple[str, ...] = ()
@@ -200,26 +197,22 @@ def parse_ket_spec(spec: str, basis: BasisSet) -> BasisKet:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_basis(s: Scheme, kets: Iterable[BasisKet], modes: Mapping[str, PhotonMode]) -> BasisSet:
-    """The basis over ``kets`` with the scheme's tables, in canonical order:
-    sector, family declaration order, j, g, occupation, stitch labels."""
+def _sorted_basis(s: Scheme, kets: Iterable[BasisKet]) -> BasisSet:
+    """The basis over ``kets`` and ``s``, in canonical order: sector, family
+    declaration order, j, g, occupation, stitch labels."""
     ranks = s.family_rank
 
     def key(k: BasisKet):
         return (_SECTOR_RANK[k.sector], ranks.get(k.matter.family, len(ranks)),
                 k.matter.j, k.matter.g, k.photons, k.stitches)
 
-    return BasisSet(
-        kets=tuple(sorted(kets, key=key)), modes=modes, levels=s.levels, family_rank=ranks,
-        max_photons=s.max_photons, resonance_tolerance=s.resonance_tolerance,
-    )
+    return BasisSet(kets=tuple(sorted(kets, key=key)), scheme=s)
 
 
-def _unit_kets(
-    ground: LevelLabel, excited: LevelLabel, mode: PhotonMode, modes: Mapping[str, PhotonMode]
-) -> tuple[BasisKet, ...]:
+def _unit_kets(ground: LevelLabel, excited: LevelLabel, mode: PhotonMode) -> tuple[BasisKet, ...]:
     """The four kets of the coherence cell over one gap, in unit order:
     |excited> x |0>, |ground> x |1>, |ground;1>, |excited;0>."""
+    modes = {mode.id: mode}
     return (
         make_ket(excited, {}, SECTOR_PRODUCT, (), modes),
         make_ket(ground, {mode.id: 1}, SECTOR_PRODUCT, (), modes),
@@ -246,13 +239,9 @@ def build_entanglement_unit(
             f"off-resonance: gap {ground.ref} -> {excited.ref} detuned from "
             f"{mode.id} by {detuning:g} (tolerance {tolerance:g})"
         )
-    modes = {mode.id: mode}
-    ranks = {ground.family: 0}
-    ranks.setdefault(excited.family, 1)
-    return BasisSet(
-        kets=_unit_kets(ground, excited, mode, modes), modes=modes,
-        levels=(ground, excited), family_rank=ranks,
-    )
+    return BasisSet(kets=_unit_kets(ground, excited, mode), scheme=Scheme(
+        families=tuple(dict.fromkeys((ground.family, excited.family))),
+        levels=(ground, excited), modes=(mode,)))
 
 
 def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
@@ -263,34 +252,32 @@ def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
     mode (the latter admits excited roots and deliberate cross-family
     gaps).
     """
-    tol = s.resonance_tolerance
-    grounds = {fam: s.family_ground(fam) for fam in s.families}
     units: list[tuple[LevelLabel, LevelLabel, PhotonMode]] = []
-    for m in s.modes:
-        for fam, ground in grounds.items():
-            for lv in s.levels_of(fam):
-                if lv != ground and abs((lv.energy - ground.energy) - m.omega) <= tol:
-                    units.append((ground, lv, m))
+    for fam in s.families:
+        ground = s.family_ground(fam)
+        for lv in s.levels_of(fam):
+            if lv != ground:
+                units += ((ground, lv, m) for m in s.modes_near(lv.energy - ground.energy))
     for c in s.couplings:
         if c.kind != "dipole" or c.mode is None:
             continue
         lo, hi = sorted((c.a, c.b), key=lambda lv: lv.energy)
-        if abs((hi.energy - lo.energy) - c.mode.omega) <= tol:
+        if abs((hi.energy - lo.energy) - c.mode.omega) <= s.resonance_tolerance:
             units.append((lo, hi, c.mode))
     return units
 
 
-def _seed_kets(s: Scheme, modes: Mapping[str, PhotonMode]) -> dict[BasisKet, None]:
+def _seed_kets(s: Scheme) -> dict[BasisKet, None]:
     """The kets of every gap unit, plus the bare ground of each untouched family."""
     pool: dict[BasisKet, None] = {}
     for ground, excited, mode in _gap_units(s):
-        for ket in _unit_kets(ground, excited, mode, modes):
+        for ket in _unit_kets(ground, excited, mode):
             pool.setdefault(ket, None)
     covered = {k.matter.ref for k in pool}
     for fam in s.families:
         ground = s.family_ground(fam)
         if ground.ref not in covered:
-            pool.setdefault(make_ket(ground, {}, SECTOR_PRODUCT, (), modes), None)
+            pool.setdefault(make_ket(ground, {}, SECTOR_PRODUCT, (), s.modes_by_id), None)
     return pool
 
 
@@ -302,8 +289,7 @@ def enumerate_basis(s: Scheme) -> BasisSet:
     has a rest state. The result is de-duplicated and sorted with the
     non-entangled sector first.
     """
-    modes = {m.id: m for m in s.modes}
-    return _sorted_basis(s, _seed_kets(s, modes), modes)
+    return _sorted_basis(s, _seed_kets(s))
 
 
 def _shifted(ket: BasisKet, mode_id: Optional[str], delta: int, cap: int) -> Optional[dict]:
@@ -326,10 +312,10 @@ def photon_partner(b: BasisSet, ket: BasisKet, mode: PhotonMode) -> Optional[int
     per-mode occupation cap. Pulse injection and reachability layering both
     move kets through this same relabeling.
     """
-    occ = _shifted(ket, mode.id, 1, b.max_photons)
-    if occ is None:
+    occ = _shifted(ket, mode.id, 1, b.scheme.max_photons)
+    if occ is None or mode.id not in b.modes:
         return None
-    partner = make_ket(ket.matter, occ, ket.sector, ket.stitches, {mode.id: mode, **b.modes})
+    partner = make_ket(ket.matter, occ, ket.sector, ket.stitches, b.modes)
     return b.index.get(partner)
 
 
@@ -338,12 +324,7 @@ def _stitched_ket(b: BasisSet, root: BasisKet, second: PhotonMode) -> BasisKet:
     quantum above the root's, with every stitch quantum absorbed. Raises
     ValueError when no level sits there within the resonance tolerance."""
     target = root.matter.energy + second.omega
-    candidates = [
-        lv
-        for lv in b.levels
-        if lv.family == root.matter.family
-        and abs(lv.energy - target) <= b.resonance_tolerance
-    ]
+    candidates = [lv for lv in b.scheme.levels_near(target) if lv.family == root.matter.family]
     if not candidates:
         raise ValueError(
             f"no {root.matter.family}-family level within tolerance of "
@@ -373,10 +354,10 @@ def extend_two_photon(b: BasisSet, root: BasisKet, second: PhotonMode) -> BasisS
     new_ket = _stitched_ket(b, root, second)
     if new_ket in b.index:
         raise ValueError(f"ket {ket_name(new_ket)} already present")
-    return replace(b, kets=b.kets + (new_ket,), modes={second.id: second, **b.modes})
+    return replace(b, kets=b.kets + (new_ket,))
 
 
-def _stitch_consistent(ket: BasisKet, s: Scheme, modes: Mapping[str, PhotonMode]) -> bool:
+def _stitch_consistent(ket: BasisKet, s: Scheme) -> bool:
     """Check that a ket's stitch labels unwind onto declared level energies.
 
     Walking the stitch list backwards, every absorbed quantum (occupation
@@ -384,11 +365,11 @@ def _stitch_consistent(ket: BasisKet, s: Scheme, modes: Mapping[str, PhotonMode]
     (occupation 1) must step up onto one, within the resonance tolerance.
     Kets failing this are not gap-related and are excluded from closure.
     """
-    tol = s.resonance_tolerance
     e = ket.matter.energy
     for m in reversed(ket.stitches):
-        probe = e + modes[m].omega if ket.occupation(m) else e - modes[m].omega
-        if not any(abs(probe - lv.energy) <= tol for lv in s.levels):
+        omega = s.mode(m).omega
+        probe = e + omega if ket.occupation(m) else e - omega
+        if not s.levels_near(probe):
             return False
         if not ket.occupation(m):
             e = probe
@@ -410,7 +391,7 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
     enter the basis. The closure is sorted once, and the stitched upper
     kets of the two-photon extension are appended at the entangled tail.
     """
-    modes = {m.id: m for m in s.modes}
+    modes = s.modes_by_id
     cap = s.max_photons
     # matter level -> (other level, mode, quanta moved) of each legal coupling step
     steps: dict[LevelLabel, list[tuple[LevelLabel, Optional[str], int]]] = {}
@@ -420,7 +401,7 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
             for here, other in ((c.a, c.b), (c.b, c.a)):
                 steps.setdefault(here, []).extend((other, m, d) for m, d in shifts)
 
-    pool = _seed_kets(s, modes)
+    pool = _seed_kets(s)
     work = list(pool)
     for ket in work:  # the worklist grows as it is walked; each ket is expanded once
         found = []
@@ -434,7 +415,7 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
                 continue
             cand = make_ket(other, occ, ket.sector, ket.stitches, modes)
             gated = abs(cand.energy - ket.energy) <= s.gate_tolerance
-            if gated and _stitch_consistent(cand, s, modes):
+            if gated and _stitch_consistent(cand, s):
                 found.append(cand)
         for cand in found:
             if cand not in pool:
@@ -443,7 +424,7 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
         if len(pool) > MAX_SCENARIO_KETS:
             raise ValueError(f"scenario basis exceeds {MAX_SCENARIO_KETS} kets")
 
-    b = _sorted_basis(s, pool, modes)
+    b = _sorted_basis(s, pool)
     return apply_two_photon_extensions(b, s) if two_photon else b
 
 
@@ -461,7 +442,6 @@ def apply_two_photon_extensions(
     """
     if modes is None:
         modes = [p.mode for p in s.pulses]
-    table = dict(b.modes)
     kets = dict.fromkeys(b.kets)
     for mode in modes:
         for root in list(kets):
@@ -471,9 +451,7 @@ def apply_two_photon_extensions(
                 ket = _stitched_ket(b, root, mode)
             except ValueError:
                 continue
-            if ket not in kets:
-                table.setdefault(mode.id, mode)
-                kets[ket] = None
+            kets.setdefault(ket, None)
     if len(kets) == len(b):
         return b
-    return replace(b, kets=tuple(kets), modes=table)
+    return replace(b, kets=tuple(kets))

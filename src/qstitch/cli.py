@@ -28,7 +28,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import pathways as paths_mod
-from .basis import BasisSet, ket_name, scenario_basis
+from .basis import SECTOR_PRODUCT, BasisSet, ket_name, make_ket, scenario_basis
 from .operators import assemble, operator_dump
 from .propagator import FLOOR, Trajectory, evolve, monitored_kets, prepare
 from .scheme import HBAR_EV_FS, Scheme, has_errors, parse_scheme, validate_scheme
@@ -161,12 +161,9 @@ def _default_preparation(scheme: Scheme, b: BasisSet) -> str:
     """Ground state of the first family dressed with one first-mode quantum."""
     ground = scheme.family_ground(scheme.families[0])
     if scheme.modes:
-        name = f"{ground.ref}+{scheme.modes[0].id}"
-        try:
-            b.find(name)
-            return name
-        except (KeyError, ValueError):
-            pass
+        dressed = make_ket(ground, {scheme.modes[0].id: 1}, SECTOR_PRODUCT, (), b.modes)
+        if dressed in b.index:
+            return ket_name(dressed)
     return ground.ref
 
 

@@ -338,6 +338,25 @@ class _Segment:
         return np.real(np.sum(amps.conj() * (amps @ self.h.T), axis=1))
 
 
+def _check_spectrum(op: OperatorPair, t_end: float) -> None:
+    """Reject an H + V whose phases w * t over the run, or whose energies
+    <c|H + V|c> on a unit state, can overflow.
+
+    Both are bounded by the largest absolute row sum of H + V (Gershgorin);
+    the factor 4 covers the real and imaginary parts of complex products.
+    """
+    ends = [e.a for e in op.entries] + [e.b for e in op.entries]
+    with np.errstate(over="ignore"):
+        weights = np.abs(np.array([e.weight for e in op.entries], dtype=complex))
+        rows = np.abs(op.H) + np.bincount(np.array(ends, dtype=int), np.tile(weights, 2),
+                                          minlength=op.dimension)
+        radius = rows.max()
+        reach = 4 * radius * max(t_end, 1.0)
+    if not np.isfinite(reach):
+        raise ValueError(f"H + V is too large to propagate: its row sums reach {radius:g}, "
+                         f"so phases over t_end {t_end:g} or energies would overflow")
+
+
 def evolve(
     c0: StateVector,
     op: OperatorPair,
@@ -366,6 +385,8 @@ def evolve(
     Between pulses the state evolves as one exact segment: its amplitudes
     are evaluated in blocks of CHUNK steps over the coupling components
     that hold amplitude, and detection is checked over each block at once.
+    An H + V large enough to overflow the phases or energies is rejected
+    before any step.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
@@ -398,6 +419,7 @@ def evolve(
     amps = np.asarray(c0.amplitudes, dtype=complex)
     if not amps.any():
         raise ValueError("the initial state has no amplitude")
+    _check_spectrum(op, t_end)
     pops = np.abs(amps) ** 2
     events: list[dict] = [{"type": "prepare", "transfer": "+", "time": t0,
                            "kets": [names[i] for i in np.flatnonzero(np.abs(amps) > FLOOR)]}]

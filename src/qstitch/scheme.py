@@ -52,7 +52,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 # Orbital label -> Lambda quantum number, used as the parity proxy.
@@ -151,6 +154,28 @@ class DetectorDecl:
     line: int = field(default=0, compare=False)
 
 
+_ENERGY, _OMEGA = attrgetter("energy"), attrgetter("omega")
+
+
+def _near(items: list, key: Callable, x: float, tol: float) -> list:
+    """The items, ascending in ``key``, whose key k has abs(k - x) <= tol. The bisect
+    window is padded far past rounding; the exact test decides, the boundary included."""
+    pad = tol + 1e-9 * (abs(x) + tol)
+    lo, hi = bisect_left(items, x - pad, key=key), bisect_right(items, x + pad, key=key)
+    return [it for it in items[lo:hi] if abs(key(it) - x) <= tol]
+
+
+class _Index(NamedTuple):
+    """Every level and mode lookup of one scheme."""
+
+    levels: dict[str, LevelLabel]  # by reference
+    families: dict[str, list[LevelLabel]]  # each family's levels, in file order
+    modes: dict[str, PhotonMode]  # by id
+    rank: dict[str, int]  # family -> declaration position
+    by_energy: list[LevelLabel]  # ascending
+    by_omega: list[PhotonMode]  # ascending
+
+
 @dataclass(frozen=True)
 class Scheme:
     """A fully resolved level scheme."""
@@ -167,20 +192,32 @@ class Scheme:
     pulses: tuple[PulseDecl, ...] = ()
     detectors: tuple[DetectorDecl, ...] = ()
 
-    def level(self, ref: str) -> LevelLabel:
+    @cached_property
+    def _index(self) -> _Index:
+        # built once; not a field, so equality, hashing and dataclasses.replace ignore it
+        families: dict[str, list[LevelLabel]] = {}
         for lv in self.levels:
-            if lv.ref == ref:
-                return lv
-        raise KeyError(f"unknown level reference {ref!r}")
+            families.setdefault(lv.family, []).append(lv)
+        return _Index({lv.ref: lv for lv in self.levels}, families, {m.id: m for m in self.modes},
+                      {fam: i for i, fam in enumerate(self.families)},
+                      sorted(self.levels, key=_ENERGY), sorted(self.modes, key=_OMEGA))
+
+    def level(self, ref: str) -> LevelLabel:
+        if ref not in self._index.levels:
+            raise KeyError(f"unknown level reference {ref!r}")
+        return self._index.levels[ref]
 
     def mode(self, mode_id: str) -> PhotonMode:
-        for m in self.modes:
-            if m.id == mode_id:
-                return m
-        raise KeyError(f"unknown mode {mode_id!r}")
+        if mode_id not in self._index.modes:
+            raise KeyError(f"unknown mode {mode_id!r}")
+        return self._index.modes[mode_id]
+
+    @property
+    def modes_by_id(self) -> dict[str, PhotonMode]:
+        return self._index.modes
 
     def levels_of(self, family: str) -> tuple[LevelLabel, ...]:
-        return tuple(lv for lv in self.levels if lv.family == family)
+        return tuple(self._index.families.get(family, ()))
 
     def family_ground(self, family: str) -> LevelLabel:
         members = self.levels_of(family)
@@ -188,12 +225,20 @@ class Scheme:
             raise KeyError(f"family {family!r} has no levels")
         return min(members, key=lambda lv: (lv.energy, lv.j, lv.g))
 
+    def levels_near(self, energy: float) -> list[LevelLabel]:
+        """The levels within the resonance tolerance of ``energy``, inclusive."""
+        return _near(self._index.by_energy, _ENERGY, energy, self.resonance_tolerance)
+
+    def modes_near(self, omega: float) -> list[PhotonMode]:
+        """The modes within the resonance tolerance of ``omega``, inclusive."""
+        return _near(self._index.by_omega, _OMEGA, omega, self.resonance_tolerance)
+
     def transfer_strength(self, mode: PhotonMode) -> float:
         return self.transfer if mode.transfer is None else mode.transfer
 
     @property
     def family_rank(self) -> dict[str, int]:
-        return {fam: i for i, fam in enumerate(self.families)}
+        return self._index.rank
 
 
 @dataclass

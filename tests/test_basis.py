@@ -1,12 +1,16 @@
 """Basis enumeration, ordering, and the two-photon extension."""
 
 import dataclasses
+import math
+import time
 
+import numpy as np
 import pytest
 
 from qstitch import (
     SECTOR_ENTANGLED,
     SECTOR_PRODUCT,
+    apply_two_photon_extensions,
     build_entanglement_unit,
     enumerate_basis,
     extend_two_photon,
@@ -17,9 +21,10 @@ from qstitch import (
     total_energy,
 )
 from qstitch.basis import MAX_SCENARIO_KETS, BasisSet, make_ket
-from qstitch.scheme import LevelLabel, PhotonMode
+from qstitch.scheme import LevelLabel, PhotonMode, Scheme
 
 from conftest import parse_ok, random_scheme
+from test_ket_order_golden import _synth
 
 
 def _level(family, label, j, term, spin, energy):
@@ -104,7 +109,7 @@ def test_duplicate_kets_rejected():
     w = {"w": PhotonMode(id="w", omega=1.0)}
     k = make_ket(g, {}, SECTOR_PRODUCT, (), w)
     with pytest.raises(ValueError, match="duplicate"):
-        BasisSet(kets=(k, k), modes=w, levels=(g,), family_rank={"Z": 0})
+        BasisSet(kets=(k, k), scheme=Scheme(families=("Z",), levels=(g,), modes=(w["w"],)))
 
 
 def test_sector_partition_enforced():
@@ -114,7 +119,7 @@ def test_sector_partition_enforced():
     ent = make_ket(e, {}, SECTOR_ENTANGLED, ("w",), w)
     prod = make_ket(g, {}, SECTOR_PRODUCT, (), w)
     with pytest.raises(ValueError, match="entangled"):
-        BasisSet(kets=(ent, prod), modes=w, levels=(g, e), family_rank={"Z": 0})
+        BasisSet(kets=(ent, prod), scheme=Scheme(families=("Z",), levels=(g, e), modes=(w["w"],)))
 
 
 # -- two-photon extension ----------------------------------------------------
@@ -216,9 +221,94 @@ def test_photon_partner_respects_cap(unit_scheme):
     assert photon_partner(b, bare, w) is None  # partner ket not enumerated
 
 
+def test_photon_partner_of_a_mode_outside_the_scheme_is_none(one_photon):
+    b = enumerate_basis(one_photon)
+    assert photon_partner(b, b.kets[0], PhotonMode(id="zz", omega=0.3)) is None
+
+
 def test_scenario_basis_stops_at_the_ket_ceiling(two_photon):
     # the closure adds about 29 kets per unit of cap, so this would not finish
     huge = dataclasses.replace(two_photon, max_photons=10**6)
     with pytest.raises(ValueError) as exc:
         scenario_basis(huge)
     assert str(exc.value) == f"scenario basis exceeds {MAX_SCENARIO_KETS} kets"
+
+
+# -- resonance tolerance boundary ---------------------------------------------
+
+# binary-exact values: ground 0.0, mode quantum 1.0, tolerance 0.25, so
+# |dE| = tolerance is computed exactly and the next float is just outside
+_TOL = 0.25
+
+
+def _boundary_scheme(levels: str, modes: str, couplings: str = "") -> Scheme:
+    return parse_ok(f"""
+        resonance-tolerance = {_TOL!r}
+        gate-tolerance = 0.5
+        {levels}
+        [modes]
+        {modes}
+        [couplings]
+        {couplings}
+        """)
+
+
+@pytest.mark.parametrize("energy, inside", [
+    (1.25, True), (math.nextafter(1.25, math.inf), False),
+    (0.75, True), (math.nextafter(0.75, -math.inf), False),
+])
+def test_unit_spawns_at_exactly_the_tolerance(energy, inside):
+    s = _boundary_scheme(f"""[family A]
+        G j=0 g=0 term=Sigma spin=1 energy=0.0
+        X j=1 g=0 term=Pi spin=1 energy={energy!r}""", "w omega=1.0")
+    names = set(enumerate_basis(s).names())
+    assert names == ({"A.X", "A.G+w", "A.G;1_w", "A.X;0_w"} if inside else {"A.G"})
+
+
+@pytest.mark.parametrize("energy, inside", [
+    (0.75, True), (math.nextafter(0.75, math.inf), False),
+])
+def test_stitch_consistency_holds_at_exactly_the_tolerance(energy, inside):
+    # the spin-orbit step X;0_w -> T;0_w unwinds w from T (1.5) onto 0.5,
+    # which only the lone level B.L can match
+    s = _boundary_scheme(f"""[family A]
+        G j=0 g=0 term=Sigma spin=1 energy=0.0
+        X j=1 g=0 term=Pi spin=1 energy=1.0
+        T j=2 g=0 term=Delta spin=3 energy=1.5
+        [family B]
+        L j=0 g=0 term=Sigma spin=1 energy={energy!r}""", "w omega=1.0",
+                         "spinorbit A.X A.T strength=0.01")
+    names = scenario_basis(s, two_photon=False).names()
+    assert "A.T" in names
+    assert ("A.T;0_w" in names) is inside
+
+
+@pytest.mark.parametrize("energy, inside", [
+    (1.75, True), (math.nextafter(1.75, math.inf), False),
+])
+def test_stitch_lands_at_exactly_the_tolerance(energy, inside):
+    # p lifts the root X;0_w from 1.0 to 1.5; U sits 0.25 (or one float more) above
+    s = _boundary_scheme(f"""[family A]
+        G j=0 g=0 term=Sigma spin=1 energy=0.0
+        X j=1 g=0 term=Pi spin=1 energy=1.0
+        U j=2 g=0 term=Sigma spin=1 energy={energy!r}""", "w omega=1.0\n        p omega=0.5")
+    b = enumerate_basis(s)
+    extended = apply_two_photon_extensions(b, s, [s.mode("p")])
+    assert extended.names()[len(b):] == (["A.U;0_w,0_p"] if inside else [])
+
+
+# -- closure growth -------------------------------------------------------------
+
+
+def test_scenario_basis_grows_near_linearly():
+    # 1,024 and 4,448 kets; best of 3 each, interleaved so host noise hits both
+    synth = _synth()
+    schemes = [parse_ok(synth.synthetic_scheme(n, np.random.default_rng(0))) for n in (64, 256)]
+    best = [math.inf, math.inf]
+    for _ in range(3):
+        for i, s in enumerate(schemes):
+            start = time.perf_counter()
+            scenario_basis(s)
+            best[i] = min(best[i], time.perf_counter() - start)
+    ratio = best[1] / best[0]
+    assert ratio <= 10, f"4,448 kets took {ratio:.1f}x the time of 1,024 kets"

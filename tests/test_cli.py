@@ -382,6 +382,25 @@ def test_overflowing_coupling_weight_exits_one(tmp_path, capsys):
             "error: coupling weight (inf+0j) between Z.S0+wZ01 and Z.S1 is not finite\n")
 
 
+@pytest.mark.parametrize("strength, code", [("1e308", 1), ("1e200", 0)])
+def test_evolve_rejects_a_spectrum_whose_phases_overflow(tmp_path, capsys, strength, code):
+    # both weights are finite; at 1e308, w * t over the 600-unit run is not
+    text = (SCHEMES / "one_photon.scheme").read_text(encoding="utf-8")
+    path = tmp_path / "strong.scheme"
+    path.write_text(text.replace("mode=wZ01 strength=0.02", f"mode=wZ01 strength={strength}"),
+                    encoding="utf-8")
+    assert main(["evolve", str(path), "--seed", "7", "--out", str(tmp_path / "r")]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "nan" not in (tmp_path / "r.trajectory.csv").read_text(encoding="utf-8")
+        return
+    assert captured.out == ""
+    assert captured.err == (
+        "error: H + V is too large to propagate: its row sums reach 1e+308, "
+        "so phases over t_end 600 or energies would overflow\n")
+    assert not list(tmp_path.glob("r.*"))
+
+
 @pytest.mark.parametrize("scheme", [ONE, TWO])
 def test_subcommands_never_build_the_dense_v(tmp_path, capsys, monkeypatch, scheme):
     def refuse(op):

@@ -8,7 +8,9 @@ change of ket names, order or energies on these schemes shows here.
 
 Cases: both shipped schemes at max-photons-per-mode 1/2/3, the seeded
 random corpus (``_compose``, seeds 0-99), the benchmark's synthetic
-generator at N = 2/4/8/16, and the CLI ``basis`` paths. Regenerate, only
+generator at N = 2/4/8/16/32/64 (up to 1,024 kets), and the CLI ``basis``
+paths. The N = 32/64 digests were recorded from the linear-scan scheme
+lookups that the indexed ones replaced. Regenerate, only
 when a change of ket order is intended, from the repository root:
 
     PYTHONPATH=src python tests/test_ket_order_golden.py
@@ -99,7 +101,7 @@ def synthetic_cases() -> dict:
     return _group(
         {f"synthetic/N{n}/seed{seed}": parse_ok(
             synth.synthetic_scheme(n, np.random.default_rng(seed)))
-         for n in (2, 4, 8, 16) for seed in (0, 1)}
+         for n in (2, 4, 8, 16, 32, 64) for seed in (0, 1)}
     )
 
 
