@@ -3,8 +3,12 @@
 ``paths_golden.json`` holds, per case, a line count and the sha256 of the
 output. The digests were recorded from the pathways module that the single
 search core replaced, so any change of a witness, a path, its order or its
-fields, ``truncated``, or a byte of the CLI ``paths``/``operator`` JSON
-shows here.
+fields, or a byte of the CLI ``paths``/``operator`` JSON shows here.
+``truncated`` has a group of its own: the CLI ``paths`` digests are taken
+over the report without that key, and the ``truncated`` group holds each CLI
+case's value and a digest per corpus seed of the library flags. A change of
+the truncation rule then moves only that group, and the other digests show
+every path and witness unchanged.
 
 Cases: the CLI ``paths`` report on the shipped schemes (open and closed
 targets at ``--max-len`` 8/10/12 and without pulses, a start equal to the
@@ -69,15 +73,24 @@ CLI_CASES = {
 }
 
 
-def cli_cases() -> dict:
+def _cli_output(argv) -> str:
     """Run from the repository root: the report echoes the scheme path."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def cli_cases() -> dict:
     out = {}
     for case, argv in CLI_CASES.items():
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        assert code == 0, case
-        out[case] = _digest(buf.getvalue().splitlines())
+        text = _cli_output(argv)
+        if argv[0] == "paths":
+            report = json.loads(text)
+            del report["truncated"]
+            text = json.dumps(report, sort_keys=True, indent=2)
+        out[case] = _digest(text.splitlines())
     return out
 
 
@@ -86,7 +99,8 @@ def _path_line(p, b) -> str:
     return f"{fields!r} {json.dumps(p.to_dict(b), sort_keys=True)}"
 
 
-def _library_lines(seed: int):
+def _library_lines(seed: int, flags: list):
+    """The library lines of one corpus seed; the truncation flags go to ``flags``."""
     s = random_scheme(seed)
     b = scenario_basis(s)
     g = build_graph(assemble(b, s))
@@ -99,17 +113,30 @@ def _library_lines(seed: int):
                 if witness is not None:
                     yield _path_line(witness, b)
                 paths, truncated = enumerate_qpaths(g, b, start, target, pulses, max_len=8)
-                yield f"{label} paths {start} {target} {len(paths)} {truncated}"
+                flags.append(f"{label} truncated {start} {target} {truncated}")
+                yield f"{label} paths {start} {target} {len(paths)}"
                 yield from (_path_line(p, b) for p in paths)
 
 
 def library_cases() -> dict:
-    return {f"library/seed{seed}": _digest(_library_lines(seed)) for seed in range(60)}
+    return {f"library/seed{seed}": _digest(_library_lines(seed, [])) for seed in range(60)}
+
+
+def truncated_cases() -> dict:
+    out = {f"cli/{case}": json.loads(_cli_output(argv))["truncated"]
+           for case, argv in CLI_CASES.items() if argv[0] == "paths"}
+    for seed in range(60):
+        flags: list = []
+        for _ in _library_lines(seed, flags):
+            pass
+        out[f"library/seed{seed}"] = _digest(flags)
+    return out
 
 
 GROUPS = {
     "cli": cli_cases,
     "library": library_cases,
+    "truncated": truncated_cases,
 }
 
 
