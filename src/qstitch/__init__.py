@@ -31,6 +31,7 @@ from .pathways import (
     photon_budget,
     reachable,
     reachable_set,
+    witnesses,
 )
 from .propagator import (
     EmissionEvent,

@@ -223,16 +223,14 @@ def cmd_evolve(args) -> int:
     state = prepare(b, prep_spec)
 
     start = int(state.populations().argmax())
-    reach_verdicts = {}
-    for d in scheme.detectors:
-        verdicts = []
-        for ki in monitored_kets(b, d):
-            ok, witness = paths_mod.reachable(graph, b, start, ki, scheme.pulses)
-            verdicts.append(
-                {"ket": ket_name(b.kets[ki]), "reachable": ok,
-                 "witness": witness.to_dict(b) if witness is not None else None}
-            )
-        reach_verdicts[d.id] = verdicts
+    monitored = {d.id: monitored_kets(b, d) for d in scheme.detectors}
+    witness = paths_mod.witnesses(graph, b, start, set().union(*monitored.values()), scheme.pulses)
+    reach_verdicts = {
+        d: [{"ket": ket_name(b.kets[ki]), "reachable": witness[ki] is not None,
+             "witness": witness[ki].to_dict(b) if witness[ki] is not None else None}
+            for ki in kets]
+        for d, kets in monitored.items()
+    }
 
     traj = evolve(
         state,

@@ -6,7 +6,7 @@ kinds behind it. Scheduled pulses are not edges; they relabel the whole
 search frontier to photon-added partners, opening the next layer, exactly
 as pulse injection acts on a state vector. Over these (ket, pulse layer)
 nodes breadth-first search gives witness and closure, depth-first search
-the enumeration.
+the enumeration, cut by a backward breadth-first distance to the target.
 
 A q-path is a mechanism skeleton: an ordered ket sequence whose graph
 steps carry a (dLambda, dS) ledger and whose injections consume the pulse
@@ -26,6 +26,7 @@ from .operators import OperatorPair
 from .scheme import PulseDecl
 
 INJECT = "inject"
+INF = float("inf")
 
 Steps = Callable[[int, int], Iterable[tuple[int, str]]]  # (ket, layer) -> (next ket, kind)
 
@@ -85,8 +86,9 @@ def build_graph(op: OperatorPair) -> CouplingGraph:
     return CouplingGraph(op.dimension, tuple(Edge(e.a, e.b, (e.kind,)) for e in op.entries))
 
 
-def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> Steps:
-    """The moves out of a (ket, pulse layer) node: its edges, then its next-layer partner."""
+def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> tuple[Steps, Callable]:
+    """The moves out of a (ket, pulse layer) node: its edges, then its next-layer partner;
+    and each node's distance to a target ket over those moves."""
     moves: list[list[tuple[int, str]]] = [[] for _ in range(g.n)]
     for e in g.edges:
         # one kind per edge: only a dipole moves a quantum, only a transfer hops sectors
@@ -98,7 +100,26 @@ def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> Step
         partner = partners[layer][ket] if layer < len(partners) else None
         return moves[ket] if partner is None else chain(moves[ket], ((partner, INJECT),))
 
-    return steps
+    def distances(target: int) -> list[list[float]]:
+        """dist[layer][ket], the fewest moves from a node to the target ket in any layer
+        (inf if none): breadth-first from the target over the reversed moves."""
+        sources: list[dict] = [{} for _ in partners]  # each layer's partner table inverted
+        for layer, table in enumerate(partners):
+            for ket, partner in enumerate(table):
+                sources[layer].setdefault(partner, []).append(ket)
+        dist = [[0 if k == target else INF for k in range(g.n)] for _ in range(len(partners) + 1)]
+        queue = deque((target, layer) for layer in range(len(dist)))
+        while queue:
+            ket, layer = queue.popleft()
+            back = [(k, layer) for k, _ in moves[ket]]
+            back += [(k, layer - 1) for k in sources[layer - 1].get(ket, ())] if layer else []
+            for k, prior in back:
+                if dist[prior][k] == INF:
+                    dist[prior][k] = dist[layer][ket] + 1
+                    queue.append((k, prior))
+        return dist
+
+    return steps, distances
 
 
 def _bfs(steps: Steps, start: int, target: Optional[int] = None) -> tuple[dict, Optional[tuple]]:
@@ -130,6 +151,16 @@ def _qpath(b: BasisSet, pulses: Sequence[PulseDecl], kets: list[int], kinds: lis
     return QPath(tuple(kets), tuple(kinds), injected, ledger, b.kets[kets[0]].total_occupation)
 
 
+def _witness(b: BasisSet, pulses: Sequence[PulseDecl], prev: dict, node: tuple) -> QPath:
+    """The q-path from the search start to ``node`` along the parent map of ``_bfs``."""
+    kets, kinds = [node[0]], []
+    while prev[node] is not None:
+        node, kind = prev[node]
+        kets.append(node[0])
+        kinds.append(kind)
+    return _qpath(b, pulses, kets[::-1], kinds[::-1])
+
+
 def reachable(
     g: CouplingGraph, b: BasisSet, start: int, target: int, pulses: Sequence[PulseDecl] = ()
 ) -> tuple[bool, Optional[QPath]]:
@@ -141,21 +172,26 @@ def reachable(
     walk over (ket, pulse layer) nodes. Start equal to target is
     trivially reachable with an empty path.
     """
-    prev, goal = _bfs(_layered(g, b, pulses), start, target)
-    if goal is None:
-        return False, None
-    kets, kinds, node = [goal[0]], [], goal
-    while prev[node] is not None:
-        node, kind = prev[node]
-        kets.append(node[0])
-        kinds.append(kind)
-    return True, _qpath(b, pulses, kets[::-1], kinds[::-1])
+    prev, goal = _bfs(_layered(g, b, pulses)[0], start, target)
+    return (False, None) if goal is None else (True, _witness(b, pulses, prev, goal))
+
+
+def witnesses(g: CouplingGraph, b: BasisSet, start: int, targets: Iterable[int],
+              pulses: Sequence[PulseDecl] = ()) -> dict[int, Optional[QPath]]:
+    """``reachable``'s witness for each target (None if unreachable), from one search.
+
+    A target's witness ends at its first node in the search order, the node
+    at which ``reachable`` stops, so both give the same witness.
+    """
+    prev, _ = _bfs(_layered(g, b, pulses)[0], start)
+    first = {node[0]: node for node in reversed(prev)}  # the earliest node of each ket wins
+    return {t: _witness(b, pulses, prev, first[t]) if t in first else None for t in targets}
 
 
 def reachable_set(g: CouplingGraph, b: BasisSet, start: int,
                   pulses: Sequence[PulseDecl] = ()) -> set[int]:
     """All kets reachable from the start across every pulse layer."""
-    prev, _ = _bfs(_layered(g, b, pulses), start)
+    prev, _ = _bfs(_layered(g, b, pulses)[0], start)
     return {ket for ket, _ in prev}
 
 
@@ -166,40 +202,43 @@ def enumerate_qpaths(
     """All simple q-paths from start to target, up to ``max_len`` steps.
 
     Paths never revisit a ket and come in depth-first order: graph edges
-    in edge order, then the next injection. The second return value flags
-    truncation: a path of ``max_len`` steps that did not end at the target
-    had an unvisited next ket, so longer paths may exist. The search keeps
-    an explicit stack, so a path may be longer than the recursion limit.
+    in edge order, then the next injection. A move is cut when its fewest
+    moves to the target, a bound that ignores the kets visited, exceed the
+    steps left, so no path within ``max_len`` is lost. The second return
+    value flags truncation: a cut move could still reach the target, so a
+    longer simple path may exist. False proves the list complete at any
+    length, and a target no walk reaches is never truncated. The search
+    keeps an explicit stack, so a path may be longer than the recursion limit.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be non-negative, got {max_len}")
-    steps = _layered(g, b, pulses)
     paths, kets, kinds, visited = [], [start], [], {start}
     if start == target:
         return [_qpath(b, pulses, kets, kinds)], False
+    steps, distances = _layered(g, b, pulses)
+    dist = distances(target)
+    if dist[0][start] == INF:
+        return [], False
     truncated = False
-    # one frame per path ket below the length bound: its remaining moves and its pulse layer
+    # one frame per path ket short of the target: its remaining moves and its pulse layer
     stack = [(iter(steps(start, 0)), 0)]
     while stack:
         moves, layer = stack[-1]
+        left = max_len - len(kinds)
         for nxt, kind in moves:
             if nxt in visited:
                 continue
-            if len(kinds) == max_len:  # the start itself, at max_len 0
-                truncated = True
-                break
+            step = layer + (kind == INJECT)
+            if dist[step][nxt] >= left:  # the target lies more than `left` moves away
+                truncated |= dist[step][nxt] < INF
+                continue
             kets.append(nxt)
             kinds.append(kind)
-            if nxt == target:
-                paths.append(_qpath(b, pulses, kets, kinds))
-            elif len(kinds) < max_len:
+            if nxt != target:
                 visited.add(nxt)
-                layer += kind == INJECT
-                stack.append((iter(steps(nxt, layer)), layer))
+                stack.append((iter(steps(nxt, step)), step))
                 break
-            elif not truncated:
-                # a ket at the bound: any move on from it would start a longer path
-                truncated = any(k not in visited for k, _ in steps(nxt, layer + (kind == INJECT)))
+            paths.append(_qpath(b, pulses, kets, kinds))
             kets.pop()
             kinds.pop()
         if stack[-1][0] is moves:  # every move from this ket is done

@@ -385,8 +385,8 @@ def evolve(
     Between pulses the state evolves as one exact segment: its amplitudes
     are evaluated in blocks of CHUNK steps over the coupling components
     that hold amplitude, and detection is checked over each block at once.
-    An H + V large enough to overflow the phases or energies is rejected
-    before any step.
+    A start state whose norm is not 1 within 1e-9, and an H + V large
+    enough to overflow the phases or energies, are rejected before any step.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0):
@@ -419,6 +419,9 @@ def evolve(
     amps = np.asarray(c0.amplitudes, dtype=complex)
     if not amps.any():
         raise ValueError("the initial state has no amplitude")
+    norm = math.hypot(*np.abs(amps))  # no overflow for finite amplitudes
+    if not abs(norm - 1) <= 1e-9:
+        raise ValueError(f"the initial state must have norm 1, got {norm:.12g}")
     _check_spectrum(op, t_end)
     pops = np.abs(amps) ** 2
     events: list[dict] = [{"type": "prepare", "transfer": "+", "time": t0,

@@ -92,6 +92,16 @@ def test_paths_two_photon_reachable(capsys):
     assert "inject" in report["witness"]["kinds"]
 
 
+@pytest.mark.parametrize("argv", [
+    [TWO, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01", "--max-len", "12"],
+    [ONE, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01"],
+], ids=["two_photon", "one_photon"])
+def test_paths_to_a_closed_target_are_not_truncated(capsys, argv):
+    assert main(["paths", *argv]) == 0
+    out = capsys.readouterr().out
+    assert '"reachable": false' in out and '"truncated": false' in out
+
+
 def test_paths_trivial_when_from_equals_to(capsys):
     assert main(["paths", ONE, "--from", "Z.S1", "--to", "Z.S1"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -8,7 +8,8 @@ fields, or a byte of the CLI ``paths``/``operator`` JSON shows here.
 over the report without that key, and the ``truncated`` group holds each CLI
 case's value and a digest per corpus seed of the library flags. A change of
 the truncation rule then moves only that group, and the other digests show
-every path and witness unchanged.
+every path and witness unchanged. That group was re-recorded when the
+search began to cut moves by their distance to the target.
 
 Cases: the CLI ``paths`` report on the shipped schemes (open and closed
 targets at ``--max-len`` 8/10/12 and without pulses, a start equal to the

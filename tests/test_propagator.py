@@ -355,6 +355,24 @@ def test_prepare_scales_huge_amplitudes_before_the_norm(one_photon):
     assert pair.amplitudes[b.find("E.S0+wE01")] == 1j / np.sqrt(2)
 
 
+@pytest.mark.parametrize("amp, message", [
+    (1e200, "the initial state must have norm 1, got 1e+200"),
+    (2.0, "the initial state must have norm 1, got 2"),
+    (1 + 1e-8, "the initial state must have norm 1, got 1.00000001"),
+    (float("nan"), "the initial state must have norm 1, got nan"),
+    (float("inf"), "the initial state must have norm 1, got inf"),
+    (0.0, "the initial state has no amplitude"),
+])
+def test_evolve_rejects_a_start_state_off_the_unit_sphere(one_photon, amp, message):
+    b = scenario_basis(one_photon)
+    op = assemble(b, one_photon)
+    amps = np.zeros(len(b), dtype=complex)
+    amps[b.find("Z.S0+wZ01")] = amp
+    with pytest.raises(ValueError) as exc:
+        evolve(StateVector(amps), op, t_end=10, dt=0.25)
+    assert str(exc.value) == message
+
+
 def test_assemble_and_evolve_stay_sparse_at_1024_kets():
     # a dense V over these kets alone would take 1024**2 * 16 bytes = 16.8 MB
     s = parse_ok(_synth().synthetic_scheme(64, np.random.default_rng(0)))
