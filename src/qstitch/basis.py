@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .scheme import LevelLabel, PhotonMode, Scheme, level_violation
@@ -136,8 +137,13 @@ class BasisSet:
     def index_of(self, ket: BasisKet) -> int:
         return self.index[ket]
 
+    @cached_property
+    def ket_names(self) -> tuple[str, ...]:
+        """Canonical names in basis order, built once per basis."""
+        return tuple(ket_name(k) for k in self.kets)
+
     def names(self) -> list[str]:
-        return [ket_name(k) for k in self.kets]
+        return list(self.ket_names)
 
     def find(self, spec: Union[int, str, BasisKet]) -> int:
         """Resolve a ket given as index, canonical name, or ket value."""

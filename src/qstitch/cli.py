@@ -20,18 +20,19 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import basis as basis_mod
-from . import pathways as paths_mod
 from .basis import SECTOR_PRODUCT, BasisSet, ket_name, make_ket, scenario_basis
-from .operators import assemble, operator_dump
-from .propagator import FLOOR, Trajectory, evolve, monitored_kets, prepare
 from .scheme import HBAR_EV_FS, Scheme, has_errors, parse_scheme, validate_scheme
+
+# The numeric layers (numpy, operators, pathways, propagator) are imported
+# inside the subcommands that use them, so validate and basis load no numpy.
+if TYPE_CHECKING:
+    from .propagator import Trajectory
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -47,7 +48,7 @@ def _load(path: str):
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -76,7 +77,7 @@ def cmd_validate(args) -> int:
 
 def _basis_rows(b: BasisSet) -> list[dict]:
     rows = []
-    for i, k in enumerate(b.kets):
+    for i, (k, name) in enumerate(zip(b.kets, b.ket_names)):
         rows.append(
             {
                 "index": i,
@@ -85,7 +86,7 @@ def _basis_rows(b: BasisSet) -> list[dict]:
                 "occupations": {m: n for m, n in k.photons},
                 "stitches": list(k.stitches),
                 "energy": k.energy,
-                "name": ket_name(k),
+                "name": name,
             }
         )
     return rows
@@ -116,12 +117,16 @@ def cmd_basis(args) -> int:
 
 
 def _run_setup(scheme: Scheme):
+    from .operators import assemble
+
     b = scenario_basis(scheme)
     op = assemble(b, scheme)
     return b, op
 
 
 def cmd_operator(args) -> int:
+    from .operators import operator_dump
+
     scheme, _, _ = _load(args.scheme)
     b, op = _run_setup(scheme)
     for w in op.warnings:
@@ -131,6 +136,8 @@ def cmd_operator(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    from . import pathways as paths_mod
+
     scheme, _, digest = _load(args.scheme)
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)
@@ -145,8 +152,8 @@ def cmd_paths(args) -> int:
         "schema": 1,
         "scheme": {"path": args.scheme, "sha256": digest},
         "basis_size": len(b),
-        "from": ket_name(b.kets[start]),
-        "to": ket_name(b.kets[target]),
+        "from": b.ket_names[start],
+        "to": b.ket_names[target],
         "pulses": [{"mode": u.mode.id, "time": u.time} for u in pulses],
         "reachable": ok,
         "witness": witness.to_dict(b) if witness is not None else None,
@@ -169,15 +176,17 @@ def _default_preparation(scheme: Scheme, b: BasisSet) -> str:
 
 def _parse_prepare(spec: str) -> dict[str, complex]:
     out: dict[str, complex] = {}
-    for piece in spec.split(";"):
-        piece = piece.strip()
-        if not piece:
+    # a ';' followed by a stitch such as '0_wZ01' is inside an entangled ket name
+    for piece in re.split(r";(?!\d+_)", spec):
+        if not piece.strip():
             continue
-        name, _, amp = piece.partition("=")
+        name, _, amp = (x.strip() for x in piece.partition("="))
+        if name in out:
+            raise ValueError(f"--prepare assigns {name} twice")
         try:
-            out[name.strip()] = complex(amp.strip()) if amp else 1.0
+            out[name] = complex(amp) if amp else 1.0
         except ValueError:
-            raise ValueError(f"--prepare amplitude {amp.strip()!r} for {name.strip()} "
+            raise ValueError(f"--prepare amplitude {amp!r} for {name} "
                              "is not a number") from None
     return out
 
@@ -188,6 +197,8 @@ CSV_BLOCK = 32
 
 
 def _write_csv(path: Path, traj: Trajectory, watch: Optional[list[str]] = None) -> None:
+    import numpy as np
+
     columns = list(range(len(traj.ket_names)))
     if watch:
         columns = [traj.ket_names.index(name) for name in watch]
@@ -213,6 +224,9 @@ def _cannot_write(path: Path, exc: OSError) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from . import pathways as paths_mod
+    from .propagator import FLOOR, evolve, monitored_kets, prepare
+
     scheme, diags, digest = _load(args.scheme)
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)
@@ -226,7 +240,7 @@ def cmd_evolve(args) -> int:
     monitored = {d.id: monitored_kets(b, d) for d in scheme.detectors}
     witness = paths_mod.witnesses(graph, b, start, set().union(*monitored.values()), scheme.pulses)
     reach_verdicts = {
-        d: [{"ket": ket_name(b.kets[ki]), "reachable": witness[ki] is not None,
+        d: [{"ket": b.ket_names[ki], "reachable": witness[ki] is not None,
              "witness": witness[ki].to_dict(b) if witness[ki] is not None else None}
             for ki in kets]
         for d, kets in monitored.items()

@@ -341,6 +341,6 @@ def operator_dump(op: OperatorPair) -> dict:
         "dimension": op.dimension,
         "gate": op.gate,
         "diagonal": [float(x) for x in op.H],
-        "kets": [ket_name(k) for k in op.basis.kets],
+        "kets": list(op.basis.ket_names),
         "entries": triplets,
     }

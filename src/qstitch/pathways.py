@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .basis import BasisSet, ket_name, photon_partner
+from .basis import BasisSet, photon_partner
 from .operators import OperatorPair
 from .scheme import PulseDecl
 
@@ -68,7 +68,7 @@ class QPath:
 
     def to_dict(self, b: BasisSet) -> dict:
         return {
-            "kets": [ket_name(b.kets[i]) for i in self.kets],
+            "kets": [b.ket_names[i] for i in self.kets],
             "kinds": list(self.kinds),
             "injected": list(self.injected),
             "ledger": [list(x) for x in self.ledger],

@@ -26,6 +26,16 @@ def test_validate_missing_file_exits_two(capsys):
     assert main(["validate", "/nonexistent/x.scheme"]) == 2
 
 
+def test_validate_undecodable_file_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.scheme"
+    bad.write_bytes(b"\xff\xfe[family Z]\n")
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+                            "in position 0: invalid start byte\n")
+
+
 def test_validate_forbidden_dipole_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.scheme"
     bad.write_text(
@@ -131,6 +141,24 @@ def test_evolve_unknown_prepared_ket_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: unknown level reference 'Z.S9' in ket spec 'Z.S9'\n"
     )
+
+
+def test_evolve_prepares_an_entangled_ket(tmp_path, capsys):
+    # the ';' inside an entangled name does not end the assignment
+    spec = "Z.S1;0_wZ01=1; Z.S0+wZ01=0.5j"
+    assert main(["evolve", TWO, "--prepare", spec, "--out", str(tmp_path / "r")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["prepared"] == {"Z.S1;0_wZ01": [1.0, 0.0], "Z.S0+wZ01": [0.0, 0.5]}
+    assert report["events"][0]["kets"] == ["Z.S0+wZ01", "Z.S1;0_wZ01"]
+
+
+def test_evolve_prepare_naming_a_ket_twice_exits_one(tmp_path, capsys):
+    spec = "Z.S0+wZ01=1;E.S0+wE01=1; Z.S0+wZ01 =-1"
+    assert main(["evolve", ONE, "--prepare", spec, "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --prepare assigns Z.S0+wZ01 twice\n"
+    assert not (tmp_path / "r.report.json").exists()
 
 
 @pytest.mark.parametrize(
