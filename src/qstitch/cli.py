@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import re
 import sys
@@ -42,7 +41,7 @@ EXIT_USAGE = 2
 def _load(path: str):
     """Read, parse, and validate a scheme file.
 
-    Returns (scheme, diagnostics, digest) or raises SystemExit with the
+    Returns (scheme, diagnostics, text) or raises SystemExit with the
     appropriate code after printing the findings.
     """
     p = Path(path)
@@ -51,18 +50,19 @@ def _load(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     result = parse_scheme(text)
-    if not result.ok:
-        for d in result.diagnostics:
-            print(f"{path}:{d}", file=sys.stderr)
-        raise SystemExit(EXIT_DOMAIN)
-    diags = validate_scheme(result.scheme)
+    # a scheme that does not parse is not validated: its parse findings are printed
+    diags = validate_scheme(result.scheme) if result.ok else result.diagnostics
     for d in diags:
         print(f"{path}:{d}", file=sys.stderr)
-    if has_errors(diags):
+    if not result.ok or has_errors(diags):
         raise SystemExit(EXIT_DOMAIN)
-    return result.scheme, diags, digest
+    return result.scheme, diags, text
+
+
+def _sha256(text: str) -> str:
+    import hashlib  # only the paths and evolve reports carry a digest
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cmd_validate(args) -> int:
@@ -138,7 +138,7 @@ def cmd_operator(args) -> int:
 def cmd_paths(args) -> int:
     from . import pathways as paths_mod
 
-    scheme, _, digest = _load(args.scheme)
+    scheme, _, source = _load(args.scheme)
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)
     pulses = () if args.no_pulses else scheme.pulses
@@ -150,7 +150,7 @@ def cmd_paths(args) -> int:
     )
     report = {
         "schema": 1,
-        "scheme": {"path": args.scheme, "sha256": digest},
+        "scheme": {"path": args.scheme, "sha256": _sha256(source)},
         "basis_size": len(b),
         "from": b.ket_names[start],
         "to": b.ket_names[target],
@@ -227,7 +227,7 @@ def cmd_evolve(args) -> int:
     from . import pathways as paths_mod
     from .propagator import FLOOR, evolve, monitored_kets, prepare
 
-    scheme, diags, digest = _load(args.scheme)
+    scheme, diags, source = _load(args.scheme)
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)
 
@@ -273,7 +273,7 @@ def cmd_evolve(args) -> int:
     final = traj.populations[-1]
     report = {
         "schema": 1,
-        "scheme": {"path": args.scheme, "sha256": digest, "unit": scheme.unit},
+        "scheme": {"path": args.scheme, "sha256": _sha256(source), "unit": scheme.unit},
         "seed": args.seed,
         "parameters": {
             "t_end": args.t_end,

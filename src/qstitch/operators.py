@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class OperatorPair:
     gate: float
     entries: tuple[VEntry, ...]
     warnings: list[Diagnostic] = field(default_factory=list)
-    _blocks: Optional[tuple[EigenBlock, ...]] = field(default=None, repr=False)
-    _eig: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         for e in self.entries:
@@ -106,43 +104,51 @@ class OperatorPair:
         block-diagonal over them and the blocks hold its whole spectrum.
         Components are ordered by their first ket.
         """
-        if self._blocks is None:
-            (a, b), weights = self._pairs()
-            roots = _components(self.dimension, a, b)
-            size = np.bincount(roots, minlength=self.dimension)[roots]
-            place = np.empty(self.dimension, dtype=int)  # a ket's cell in its size's stack
-            blocks = []
-            # one stacked eigh per component size: components are many and small
-            for m in sorted(set(size.tolist())):
-                kets = np.flatnonzero(size == m)
-                kets = kets[np.argsort(roots[kets], kind="stable")].reshape(-1, m)
-                place[kets] = np.arange(kets.size).reshape(kets.shape)
-                mine = size[a] == m
-                pa, pb = place[a[mine]], place[b[mine]]
-                h = _mirrored((len(kets), m, m), (pa // m, pa % m, pb % m), weights[mine])
-                h[:, range(m), range(m)] += self.H[kets]
-                w, q = np.linalg.eigh(h)
-                blocks += map(EigenBlock, kets, w, q, h)
-            self._blocks = tuple(sorted(blocks, key=lambda blk: blk.kets[0]))
         return self._blocks
+
+    @cached_property
+    def _blocks(self) -> tuple[EigenBlock, ...]:
+        (a, b), weights = self._pairs()
+        roots = _components(self.dimension, a, b)
+        size = np.bincount(roots, minlength=self.dimension)[roots]
+        place = np.empty(self.dimension, dtype=int)  # a ket's cell in its size's stack
+        blocks = []
+        # one stacked eigh per component size: components are many and small
+        for m in sorted(set(size.tolist())):
+            kets = np.flatnonzero(size == m)
+            kets = kets[np.argsort(roots[kets], kind="stable")].reshape(-1, m)
+            place[kets] = np.arange(kets.size).reshape(kets.shape)
+            mine = size[a] == m
+            pa, pb = place[a[mine]], place[b[mine]]
+            h = _mirrored((len(kets), m, m), (pa // m, pa % m, pb % m), weights[mine])
+            h[:, range(m), range(m)] += self.H[kets]
+            w, q = np.linalg.eigh(h)
+            blocks += map(EigenBlock, kets, w, q, h)
+        return tuple(sorted(blocks, key=lambda blk: blk.kets[0]))
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition of H + V (ascending w, unitary Q), cached.
 
-        Assembled from ``eigenblocks``: each column of Q is zero outside
-        the component its eigenvalue belongs to.
+        ``block_diagonal`` of every eigenblock, rows in basis order, columns
+        stably sorted by w; each column is zero outside its component.
         """
-        if self._eig is None:
-            blocks = self.eigenblocks()
-            w = np.concatenate([np.zeros(0)] + [blk.w for blk in blocks])
-            order = np.argsort(w, kind="stable")
-            rank = np.argsort(order)  # each eigenvalue's place in ascending order
-            q = np.zeros((len(w), len(w)), dtype=complex)
-            cols = np.split(rank, np.cumsum([len(blk.w) for blk in blocks]))
-            for blk, col in zip(blocks, cols):
-                q[np.ix_(blk.kets, col)] = blk.q
-            self._eig = (w[order], q)
         return self._eig
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, np.ndarray]:
+        kets, w, q, _ = block_diagonal(self.eigenblocks())
+        order = np.argsort(w, kind="stable")
+        return w[order], q[np.ix_(np.argsort(kets), order)]
+
+
+def block_diagonal(blocks: Sequence[EigenBlock]) -> tuple[np.ndarray, ...]:
+    """The blocks as one: kets and w joined in order, each q and h on the diagonal."""
+    kets = np.concatenate([np.zeros(0, dtype=int)] + [blk.kets for blk in blocks])
+    q, h = np.zeros((2, len(kets), len(kets)), dtype=complex)
+    edges = np.cumsum([0] + [len(blk.kets) for blk in blocks])
+    for blk, lo, hi in zip(blocks, edges, edges[1:]):
+        q[lo:hi, lo:hi], h[lo:hi, lo:hi] = blk.q, blk.h
+    return kets, np.concatenate([np.zeros(0)] + [blk.w for blk in blocks]), q, h
 
 
 def _mirrored(shape: tuple, index: tuple, weights: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Coherent evolution follows i dC/dt = (H + V) C with hbar = 1. Steps use
 the exact spectral propagator of the hermitian H + V, so unitarity holds
 to round-off and the step size only controls sampling and event-check
 granularity, not accuracy. The energy gate makes H + V block-diagonal
-over the connected components of V; ``evolve`` evaluates each coherent
-segment from the eigenpairs of the components holding amplitude, many
-steps at once.
+over the connected components of V; ``step`` and ``evolve`` evaluate a
+coherent segment from the eigenpairs of the components holding
+amplitude, ``evolve`` many steps at once.
 
 Laboratory transfers sit outside Hilbert-space evolution and appear as
 events: a preparation or pulse injection is logged with the "+" transfer
@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .basis import SECTOR_PRODUCT, BasisKet, BasisSet, ket_name, photon_partner
-from .operators import OperatorPair
+from .operators import OperatorPair, block_diagonal
 from .scheme import DetectorDecl, PhotonMode, PulseDecl
 
 # Amplitudes below this magnitude are treated as numerically unpopulated.
@@ -110,16 +110,16 @@ def prepare(b: BasisSet, spec: Mapping[Union[int, str, BasisKet], complex]) -> S
 def step(c: StateVector, op: OperatorPair, dt: float) -> StateVector:
     """Advance by dt under the exact unitary exp(-i (H+V) dt).
 
-    Negative dt runs the coherent segment backwards; only dt = 0 is
-    rejected. Norm is preserved to round-off.
+    Like ``evolve``, it evaluates only the components holding amplitude.
+    Negative dt runs backwards; only dt = 0 is rejected.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     if len(c.amplitudes) != op.dimension:
         raise ValueError("state and operator dimensions differ")
-    w, q = op.eig()
-    phases = np.exp(-1j * w * dt)
-    amps = q @ (phases * (q.conj().T @ c.amplitudes))
+    seg = _Segment(op, c.amplitudes)
+    amps = np.zeros(op.dimension, dtype=complex)
+    amps[seg.kets] = seg.amplitudes(np.array([dt]))[0]
     return StateVector(amplitudes=amps, time=c.time + dt)
 
 
@@ -317,21 +317,12 @@ class _Segment:
     def __init__(self, op: OperatorPair, amps: np.ndarray) -> None:
         live = set(np.flatnonzero(amps).tolist())
         held = [blk for blk in op.eigenblocks() if not live.isdisjoint(blk.kets.tolist())]
-        self.kets = np.concatenate([blk.kets for blk in held])
-        self.w = np.concatenate([blk.w for blk in held])
-        q, self.h = np.zeros((2, len(self.kets), len(self.kets)), dtype=complex)
-        lo = 0
-        for blk in held:
-            hi = lo + len(blk.kets)
-            q[lo:hi, lo:hi] = blk.q
-            self.h[lo:hi, lo:hi] += blk.h
-            lo = hi
-        self.qt = q.T
-        self.coef = q.conj().T @ amps[self.kets]
+        self.kets, self.w, self.q, self.h = block_diagonal(held)
+        self.coef = self.q.conj().T @ amps[self.kets]
 
     def amplitudes(self, elapsed: np.ndarray) -> np.ndarray:
         """Amplitudes on ``kets``, one row per elapsed time since the segment start."""
-        return (np.exp(-1j * np.outer(elapsed, self.w)) * self.coef) @ self.qt
+        return (np.exp(-1j * np.outer(elapsed, self.w)) * self.coef) @ self.q.T
 
     def energies(self, amps: np.ndarray) -> np.ndarray:
         """<c|H + V|c> for each row of amplitudes on ``kets``."""

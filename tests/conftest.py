@@ -1,4 +1,5 @@
-"""Shared fixtures: shipped schemes, small inline schemes, random corpus, path oracle."""
+"""Shared fixtures: shipped schemes, small inline schemes, random corpus, path and
+population oracles."""
 
 from __future__ import annotations
 
@@ -210,3 +211,39 @@ def brute_force_paths(op, b, start, target, pulses, max_len) -> set[tuple[int, .
 
     go([start], 0)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Population oracle
+# ---------------------------------------------------------------------------
+
+
+def sampled_max_pops(op, b, start, pulses, t_end, per_segment=400):
+    """Each ket's largest population on a sample grid, pulses applied between segments.
+
+    Independent of the propagator: the spectrum comes from ``np.linalg.eigh``
+    on the dense H + V, not from the operator's eigenblocks.
+    """
+    n = op.dimension
+    w, q = np.linalg.eigh(np.diag(op.H).astype(complex) + op.V)
+    psi = np.zeros(n, complex)
+    psi[start] = 1.0
+    bounds = [0.0] + [u.time for u in pulses] + [t_end]
+    max_pops = np.zeros(n)
+    for si in range(len(bounds) - 1):
+        ts = np.linspace(0.0, bounds[si + 1] - bounds[si], per_segment)
+        coef = q.conj().T @ psi
+        amps = q @ (np.exp(-1j * np.outer(w, ts)) * coef[:, None])
+        max_pops = np.maximum(max_pops, (np.abs(amps) ** 2).max(axis=1))
+        psi = amps[:, -1]
+        if si < len(pulses):
+            moved = np.zeros(n, complex)
+            for i in range(n):
+                if psi[i] != 0:
+                    j = photon_partner(b, b.kets[i], pulses[si].mode)
+                    if j is not None:
+                        moved[j] += psi[i]
+                    else:
+                        assert abs(psi[i]) < 1e-12, "populated ket lacks a pulse partner"
+            psi = moved
+    return max_pops

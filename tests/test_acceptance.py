@@ -35,10 +35,9 @@ from qstitch import (
     serialize_scheme,
     step,
 )
-from qstitch.basis import photon_partner
 from qstitch.cli import main as cli_main
 
-from conftest import SCHEMES, brute_force_paths, random_scheme
+from conftest import SCHEMES, brute_force_paths, random_scheme, sampled_max_pops
 
 PRIMARY_DIPOLE = 0.02
 RABI_PERIOD = 2 * np.pi / (2 * PRIMARY_DIPOLE)
@@ -46,33 +45,6 @@ RABI_PERIOD = 2 * np.pi / (2 * PRIMARY_DIPOLE)
 TWO_PHOTON_FIRING_TIME = 437.0
 
 N_RANDOM = 100
-
-
-def _sampled_max_pops(op, b, start, pulses, t_end, per_segment=400):
-    """Exact populations on a sample grid, pulses applied between segments."""
-    n = op.dimension
-    w, q = op.eig()
-    psi = np.zeros(n, complex)
-    psi[start] = 1.0
-    bounds = [0.0] + [u.time for u in pulses] + [t_end]
-    max_pops = np.zeros(n)
-    for si in range(len(bounds) - 1):
-        ts = np.linspace(0.0, bounds[si + 1] - bounds[si], per_segment)
-        coef = q.conj().T @ psi
-        amps = q @ (np.exp(-1j * np.outer(w, ts)) * coef[:, None])
-        max_pops = np.maximum(max_pops, (np.abs(amps) ** 2).max(axis=1))
-        psi = amps[:, -1]
-        if si < len(pulses):
-            moved = np.zeros(n, complex)
-            for i in range(n):
-                if psi[i] != 0:
-                    j = photon_partner(b, b.kets[i], pulses[si].mode)
-                    if j is not None:
-                        moved[j] += psi[i]
-                    else:
-                        assert abs(psi[i]) < 1e-12, "populated ket lacks a pulse partner"
-            psi = moved
-    return max_pops
 
 
 def _load(name):
@@ -197,7 +169,7 @@ def test_ac5_gate_soundness_over_random_schemes():
                 if k.energy > budget + s.gate_tolerance + 1e-9]
         if not over:
             continue
-        pops = _sampled_max_pops(op, b, start, s.pulses, t_end=2500.0)
+        pops = sampled_max_pops(op, b, start, s.pulses, t_end=2500.0)
         checked_kets += len(over)
         worst = max(worst, float(pops[over].max()))
     assert checked_kets > 100
@@ -217,7 +189,7 @@ def test_ac6_reachability_dynamics_equivalence():
         g = build_graph(op)
         start = b.find(f"{s.families[0]}.G+w{s.families[0]}")
         reach = reachable_set(g, b, start, s.pulses)
-        pops = _sampled_max_pops(op, b, start, s.pulses, t_end=2500.0)
+        pops = sampled_max_pops(op, b, start, s.pulses, t_end=2500.0)
         for i in range(len(b)):
             total += 1
             assert (i in reach) == (pops[i] > 1e-8), (

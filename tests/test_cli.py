@@ -450,3 +450,59 @@ def test_subcommands_never_build_the_dense_v(tmp_path, capsys, monkeypatch, sche
                  ["evolve", scheme, "--out", str(tmp_path / "r")]):
         assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_evolve_unknown_watch_ket_exits_one_and_writes_nothing(tmp_path, capsys):
+    code = main(["evolve", ONE, "--t-end", "10", "--watch", "NOSUCH",
+                 "--out", str(tmp_path / "w")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown --watch ket")
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_sample_every_zero_exits_one(tmp_path, capsys):
+    code = main(["evolve", ONE, "--sample-every", "0", "--out", str(tmp_path / "s")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert (captured.out, captured.err) == ("", "error: sample_every must be at least 1\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_evolve_without_modes_prepares_the_bare_ground(tmp_path, capsys):
+    bare = tmp_path / "bare.scheme"
+    bare.write_text(
+        "[family A]\n"
+        "G j=0 g=0 term=Sigma spin=1 energy=0.0\n"
+        "X j=1 g=0 term=Pi spin=1 energy=1.0\n",
+        encoding="utf-8",
+    )
+    assert main(["evolve", str(bare), "--t-end", "10", "--out", str(tmp_path / "bare")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "bare.report.json").read_text(encoding="utf-8"))
+    assert report["prepared"] == {"A.G": [1.0, 0.0]}
+    assert report["final_populations"] == {"A.G": 1.0}
+
+
+def test_operator_warns_about_a_dead_coupling_and_exits_zero(tmp_path, capsys):
+    dead = tmp_path / "dead.scheme"
+    # P and T lie 0.5 apart, far outside the gate: the mixing induces no pair
+    dead.write_text(
+        "[family A]\n"
+        "G j=0 g=0 term=Sigma spin=1 energy=0.0\n"
+        "P j=1 g=0 term=Pi spin=1 energy=1.0\n"
+        "T j=2 g=0 term=Delta spin=3 energy=1.5\n"
+        "[modes]\n"
+        "w omega=1.0\n"
+        "[couplings]\n"
+        "dipole A.G A.P mode=w strength=0.05\n"
+        "spinorbit A.P A.T strength=0.01\n",
+        encoding="utf-8",
+    )
+    assert main(["operator", str(dead)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (f"{dead}:9:1: warning: [dead-coupling] spinorbit A.P A.T "
+                            "induces no allowed ket pair\n")
+    assert json.loads(captured.out)["dimension"] > 0

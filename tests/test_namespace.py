@@ -30,8 +30,9 @@ EXPORTS = {
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
-# what `import qstitch`, `validate` and `basis` must not load
-NUMERIC = ("numpy", "qstitch.operators", "qstitch.propagator")
+# what `import qstitch`, `validate` and `basis` must not load: the numeric
+# layers, and hashlib, which only the paths and evolve reports need
+DEFERRED = ("hashlib", "numpy", "qstitch.operators", "qstitch.propagator")
 TWO = str(SCHEMES / "two_photon.scheme")
 
 
@@ -62,9 +63,9 @@ def test_unknown_name_raises_attribute_error():
         from qstitch import nope  # noqa: F401
 
 
-def _loaded_numeric(code: str, *argv: str) -> str:
-    """Run ``code`` in a fresh interpreter; the sorted numeric modules it left loaded."""
-    probe = f"{code}\nimport sys\nprint(sorted(set({NUMERIC!r}) & set(sys.modules)))"
+def _loaded_deferred(code: str, *argv: str) -> str:
+    """Run ``code`` in a fresh interpreter; the sorted DEFERRED modules it left loaded."""
+    probe = f"{code}\nimport sys\nprint(sorted(set({DEFERRED!r}) & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(qstitch.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
@@ -84,10 +85,10 @@ def _loaded_numeric(code: str, *argv: str) -> str:
     ids=["import", "validate", "basis-full"],
 )
 def test_import_validate_and_basis_load_no_numpy(code, argv):
-    assert _loaded_numeric(code, *argv) == "[]"
+    assert _loaded_deferred(code, *argv) == "[]"
 
 
 def test_operator_loads_numpy_on_demand():
     # the probe sees numeric modules once a subcommand needs them
     code = "import sys\nfrom qstitch.cli import main\nassert main(['operator', sys.argv[1]]) == 0"
-    assert _loaded_numeric(code, TWO) == "['numpy', 'qstitch.operators']"
+    assert _loaded_deferred(code, TWO) == "['numpy', 'qstitch.operators']"

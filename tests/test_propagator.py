@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qstitch import (
+    EmissionEvent,
+    OperatorPair,
     StateVector,
     assemble,
     build_entanglement_unit,
@@ -21,6 +23,7 @@ from qstitch.scheme import DetectorDecl, PulseDecl
 
 from conftest import parse_ok
 from test_ket_order_golden import _synth
+from test_propagator_differential import _scheme
 
 
 def _setup(scheme):
@@ -106,8 +109,43 @@ def test_time_reversal(two_level):
 def test_step_rejects_zero_dt(two_level):
     b, op = _setup(two_level)
     c = prepare(b, {"A.G+w": 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt must be nonzero$"):
         step(c, op, 0.0)
+
+
+def test_step_rejects_a_dimension_mismatch(two_level):
+    b, op = _setup(two_level)
+    c = prepare(b, {"A.G+w": 1.0})
+    with pytest.raises(ValueError, match="^state and operator dimensions differ$"):
+        step(StateVector(np.append(c.amplitudes, 0.0)), op, 0.1)
+
+
+def test_step_needs_no_dense_eigendecomposition(monkeypatch):
+    s = _scheme("two_photon", 3)
+    b = scenario_basis(s)
+    op = assemble(b, s)
+    c = prepare(b, {"Z.S0+wZ01": 1.0, "E.S0+wE01": 0.5j, "Z.S1": -0.25})
+    # reference: the dense kernel, Q exp(-i w dt) Q^H over the full eigendecomposition
+    w, q = op.eig()
+    dense = c.amplitudes
+    for _ in range(20):
+        dense = q @ (np.exp(-1j * w * 0.25) * (q.conj().T @ dense))
+
+    def refuse(self):
+        raise AssertionError("step built the dense eigendecomposition")
+
+    monkeypatch.setattr(OperatorPair, "eig", refuse)
+    for _ in range(20):
+        c = step(c, op, 0.25)
+    assert c.time == 5.0
+    assert np.abs(c.amplitudes - dense).max() <= 1e-12
+
+
+def test_step_keeps_an_all_zero_state_at_zero(one_photon):
+    b, op = _setup(one_photon)
+    c = step(StateVector(np.zeros(len(b), dtype=complex), time=1.0), op, 0.5)
+    assert c.time == 1.5
+    assert c.amplitudes.shape == (len(b),) and not c.amplitudes.any()
 
 
 # -- pulse injection ----------------------------------------------------------
@@ -179,6 +217,33 @@ def test_detect_rejects_bad_threshold(two_level):
     for mode in ("threshold", "stochastic"):
         with pytest.raises(ValueError, match="threshold must lie in"):
             evolve(c, op, detectors=[det], t_end=10.0, dt=0.1, detect_mode=mode, seed=1)
+
+
+def test_detect_fires_at_the_threshold_and_not_below(two_level):
+    b, _ = _setup(two_level)
+    c = prepare(b, {"A.G+w": 1.0, "A.X": 1.0})
+    ket = b.find("A.G+w")
+    pop = float(c.populations()[ket])
+    at = DetectorDecl(id="d", target=two_level.level("A.G"), mode=two_level.mode("w"),
+                      threshold=pop)
+    hit = detect(c, b, [at])
+    assert hit == EmissionEvent(c.time, "d", ket, "w", pop, False)
+    above = DetectorDecl(id="d", target=two_level.level("A.G"), mode=two_level.mode("w"),
+                         threshold=float(np.nextafter(pop, 1.0)))
+    assert detect(c, b, [above]) is None
+
+
+def test_stochastic_detect_needs_rng_and_dt(two_level):
+    b, _ = _setup(two_level)
+    det = DetectorDecl(id="d", target=two_level.level("A.G"), mode=two_level.mode("w"),
+                       threshold=0.5, rate=2.0)
+    c = prepare(b, {"A.G+w": 1.0})
+    for kwargs in ({}, {"rng": np.random.default_rng(0)}, {"dt": 1.0}):
+        with pytest.raises(ValueError, match="stochastic detection needs rng and dt"):
+            detect(c, b, [det], mode="stochastic", **kwargs)
+    # rate * population * dt = 2: every draw falls below it
+    hit = detect(c, b, [det], rng=np.random.default_rng(0), dt=1.0, mode="stochastic")
+    assert hit is not None and hit.ket == b.find("A.G+w")
 
 
 def test_stochastic_detection_is_seed_deterministic(two_level):
