@@ -202,14 +202,18 @@ def _write_csv(path: Path, traj: Trajectory, watch: Optional[list[str]] = None) 
     columns = list(range(len(traj.ket_names)))
     if watch:
         columns = [traj.ket_names.index(name) for name in watch]
+    # a column whose bits are all clear holds +0.0 in every row, which "%.12g"
+    # writes as "0"; -0.0 ("-0") and nan have bits set and are formatted
+    live = traj.populations.view(np.uint64).any(axis=0).tolist()
     # the bytes csv.writer gives for the same cells: numbers need no quoting
-    row = ",".join(["%.12g"] * (3 + len(columns))) + "\r\n"
+    row = ",".join(["%.12g"] * 3 + ["%.12g" if live[c] else "0" for c in columns]) + "\r\n"
+    formatted = [c for c in columns if live[c]]
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["t", "norm", "energy"] + [traj.ket_names[c] for c in columns])
         for lo in range(0, len(traj.times), CSV_BLOCK):
             rows = slice(lo, lo + CSV_BLOCK)
             table = np.column_stack([traj.times[rows], traj.norms[rows], traj.energies[rows],
-                                     traj.populations[rows][:, columns]])
+                                     traj.populations[rows][:, formatted]])
             fh.write("".join(row % tuple(r) for r in table.tolist()))
 
 
@@ -227,6 +231,8 @@ def cmd_evolve(args) -> int:
     from . import pathways as paths_mod
     from .propagator import FLOOR, evolve, monitored_kets, prepare
 
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     scheme, diags, source = _load(args.scheme)
     b, op = _run_setup(scheme)
     graph = paths_mod.build_graph(op)

@@ -102,7 +102,7 @@ def prepare(b: BasisSet, spec: Mapping[Union[int, str, BasisKet], complex]) -> S
     # about 1e154 overflows
     peak = np.abs(amps).max()
     if peak <= FLOOR and np.linalg.norm(amps) <= FLOOR:
-        raise ValueError("preparation amplitudes are all zero")
+        raise ValueError(f"preparation amplitudes are all at or below {FLOOR:g}")
     amps /= peak
     return StateVector(amplitudes=amps / np.linalg.norm(amps), time=0.0)
 

@@ -2,13 +2,16 @@
 
 import csv
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qstitch import OperatorPair
 from qstitch.cli import main
 
-from conftest import SCHEMES
+from conftest import SCHEMES, parse_ok
+from test_ket_order_golden import _synth
 from test_scheme import BAD_HEADERS
 
 ONE = str(SCHEMES / "one_photon.scheme")
@@ -263,21 +266,76 @@ def _per_cell_csv(path, traj, watch):
             writer.writerow(row + [f"{traj.populations[i, c]:.12g}" for c in columns])
 
 
-@pytest.mark.parametrize("scheme", [ONE, TWO])
-@pytest.mark.parametrize("watch", [None, ["Z.S1", "Z.S0+wZ01"]])
-def test_csv_bytes_match_per_cell_writer(tmp_path, scheme, watch):
-    from qstitch.cli import CSV_BLOCK, _default_preparation, _load, _run_setup, _write_csv
+def _run(scheme_text, **kwargs):
+    """The trajectory ``qstitch evolve`` writes for a scheme, at its defaults."""
+    from qstitch.cli import _default_preparation, _run_setup
     from qstitch import evolve, prepare
 
-    s, _, _ = _load(scheme)
+    s = parse_ok(scheme_text)
     b, op = _run_setup(s)
-    traj = evolve(prepare(b, {_default_preparation(s, b): 1.0}), op, pulses=s.pulses,
-                  detectors=s.detectors, t_end=600.0, dt=0.25, sample_every=4,
-                  collapse=False)
-    assert len(traj.times) > 2 * CSV_BLOCK + 1  # several blocks, the last one partial
+    run = {"t_end": 600.0, "dt": 0.25, "sample_every": 4, **kwargs}
+    return evolve(prepare(b, {_default_preparation(s, b): 1.0}), op, pulses=s.pulses,
+                  detectors=s.detectors, **run)
+
+
+def _assert_csv_matches_per_cell_writer(tmp_path, traj, watch):
+    from qstitch.cli import _write_csv
+
     _write_csv(tmp_path / "fast.csv", traj, watch)
     _per_cell_csv(tmp_path / "ref.csv", traj, watch)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", [ONE, TWO])
+@pytest.mark.parametrize("watch", [None, ["Z.S1", "Z.S0+wZ01"]])
+def test_csv_bytes_match_per_cell_writer(tmp_path, scheme, watch):
+    from qstitch.cli import CSV_BLOCK
+
+    traj = _run(Path(scheme).read_text(encoding="utf-8"), collapse=False)
+    assert len(traj.times) > 2 * CSV_BLOCK + 1  # several blocks, the last one partial
+    _assert_csv_matches_per_cell_writer(tmp_path, traj, watch)
+
+
+@pytest.mark.parametrize(
+    "scheme, run, watch, dead",
+    [
+        ("synthetic", {"t_end": 400.0}, None, 121),
+        (TWO, {}, None, 31),
+        (TWO, {"detect_mode": "stochastic", "seed": 7}, None, 31),
+        # Z.S0+wZ02 never holds population and comes before a populated ket
+        (TWO, {"collapse": False}, ["Z.S0+wZ02", "Z.S0+wZ01", "E.S1"], 31),
+    ],
+    ids=["synthetic-N8", "two_photon-threshold", "two_photon-stochastic-seed7",
+         "two_photon-dead-ket-watched-first"],
+)
+def test_csv_bytes_match_per_cell_writer_on_sparse_runs(tmp_path, scheme, run, watch, dead):
+    text = (_synth().synthetic_scheme(8, np.random.default_rng(0)) if scheme == "synthetic"
+            else Path(scheme).read_text(encoding="utf-8"))
+    traj = _run(text, **run)
+    # most columns are written as the literal 0
+    assert int((traj.populations == 0).all(axis=0).sum()) == dead
+    if watch:
+        assert not traj.populations[:, traj.ket_names.index(watch[0])].any()
+    _assert_csv_matches_per_cell_writer(tmp_path, traj, watch)
+
+
+def test_csv_formats_signed_zero_subnormal_and_nan_cells(tmp_path):
+    from qstitch.cli import CSV_BLOCK
+    from qstitch.propagator import Trajectory
+
+    rows = 2 * CSV_BLOCK + 3
+    populations = np.zeros((rows, 5))
+    populations[:, 0] = 1.0
+    populations[CSV_BLOCK + 1, 1] = -0.0  # == 0, yet "%.12g" writes "-0"
+    populations[rows - 1, 2] = 5e-324
+    populations[0, 3] = np.nan
+    traj = Trajectory(["a", "b", "c", "d", "e"], np.arange(rows) * 0.5, populations,
+                      np.ones(rows), np.zeros(rows))
+    _assert_csv_matches_per_cell_writer(tmp_path, traj, None)
+    lines = (tmp_path / "fast.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "0,1,0,1,0,0,nan,0"
+    assert lines[CSV_BLOCK + 2] == f"{(CSV_BLOCK + 1) * 0.5:g},1,0,1,-0,0,0,0"
+    assert lines[-1].endswith(",1,0,4.94065645841e-324,0,0")
 
 
 def test_evolve_watch_restricts_csv_columns(tmp_path, capsys):
@@ -336,13 +394,15 @@ def test_validate_out_of_range_header_exits_one(tmp_path, capsys, line, diagnost
          "preparation amplitude for Z.S0+wZ01 must be finite, got (nan+0j)"),
         (ONE, ["--prepare", "Z.S0+wZ01=abc"],
          "--prepare amplitude 'abc' for Z.S0+wZ01 is not a number"),
+        (ONE, ["--prepare", "Z.S0+wZ01=1e-13"],
+         "preparation amplitudes are all at or below 1e-12"),
         (ONE, ["--t-end", "1e300", "--dt", "1e-300"],
          "t_end 1e+300 / dt 1e-300 is inf steps, above the ceiling of 10,000,000"),
         (ONE, ["--t-end", "1e9", "--dt", "1e-3"],
          "t_end 1e+09 / dt 0.001 is 1e+12 steps, above the ceiling of 10,000,000"),
     ],
     ids=["t-end-inf", "dt-nan", "t-end-negative", "prepare-nan", "prepare-not-a-number",
-         "steps-overflow", "steps-above-ceiling"],
+         "prepare-tiny", "steps-overflow", "steps-above-ceiling"],
 )
 def test_evolve_rejects_non_finite_run_inputs(tmp_path, capsys, scheme, flags, message):
     assert main(["evolve", scheme, "--out", str(tmp_path / "r"), *flags]) == 1
@@ -350,6 +410,20 @@ def test_evolve_rejects_non_finite_run_inputs(tmp_path, capsys, scheme, flags, m
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "r.report.json").exists()
+
+
+def test_evolve_negative_seed_exits_one_before_setup(tmp_path, capsys, monkeypatch):
+    import qstitch.cli as cli
+
+    def no_setup(scheme):
+        raise AssertionError("a negative seed must be rejected before the basis is built")
+
+    monkeypatch.setattr(cli, "_run_setup", no_setup)
+    assert main(["evolve", TWO, "--seed", "-1", "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
+    assert not (tmp_path / "r.trajectory.csv").exists()
 
 
 def test_basis_two_photon_and_full_are_exclusive(capsys):
