@@ -1,12 +1,12 @@
 """Static reachability and q-path enumeration over the coupling graph.
 
-The graph mirrors the exact sparsity of V: an undirected edge exists
-wherever V has a nonzero off-diagonal entry, annotated with the coupling
-kinds behind it. Scheduled pulses are not edges; they relabel the whole
-search frontier to photon-added partners, opening the next layer, exactly
-as pulse injection acts on a state vector. Over these (ket, pulse layer)
-nodes breadth-first search gives witness and closure, depth-first search
-the enumeration, cut by a backward breadth-first distance to the target.
+The graph is V itself: its edges are the operator's entries, one per
+nonzero off-diagonal pair, each with its one coupling kind. Scheduled
+pulses are not edges; they relabel the whole search frontier to
+photon-added partners, opening the next layer, exactly as pulse
+injection acts on a state vector. Over these (ket, pulse layer) nodes one
+breadth-first search gives witness and closure, and, run backward from
+the target, the distances that cut the depth-first enumeration.
 
 A q-path is a mechanism skeleton: an ordered ket sequence whose graph
 steps carry a (dLambda, dS) ledger and whose injections consume the pulse
@@ -22,28 +22,22 @@ from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .basis import BasisSet, photon_partner
-from .operators import OperatorPair
+from .operators import OperatorPair, VEntry
 from .scheme import PulseDecl
 
 INJECT = "inject"
 INF = float("inf")
+MAX_PATHS = 100_000  # ceiling on the q-paths one enumeration may list
 
 Steps = Callable[[int, int], Iterable[tuple[int, str]]]  # (ket, layer) -> (next ket, kind)
 
 
 @dataclass(frozen=True)
-class Edge:
-    a: int
-    b: int
-    kinds: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CouplingGraph:
-    """Adjacency view of the nonzero off-diagonal pattern of V."""
+    """The kets of V and its entries, which are the graph's undirected edges."""
 
     n: int
-    edges: tuple[Edge, ...]
+    edges: tuple[VEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -82,65 +76,46 @@ def photon_budget(p: QPath) -> int:
 
 
 def build_graph(op: OperatorPair) -> CouplingGraph:
-    """Extract the exact adjacency of V, annotated with coupling kinds."""
-    return CouplingGraph(op.dimension, tuple(Edge(e.a, e.b, (e.kind,)) for e in op.entries))
+    """The coupling graph of V: its entries are the edges, not a copy of them."""
+    return CouplingGraph(op.dimension, op.entries)
 
 
-def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> tuple[Steps, Callable]:
+def _layered(g: CouplingGraph, b: BasisSet, pulses: Sequence[PulseDecl]) -> tuple[Steps, Steps]:
     """The moves out of a (ket, pulse layer) node: its edges, then its next-layer partner;
-    and each node's distance to a target ket over those moves."""
+    and the moves into it: its edges, then the previous-layer kets whose partner it is."""
     moves: list[list[tuple[int, str]]] = [[] for _ in range(g.n)]
     for e in g.edges:
-        # one kind per edge: only a dipole moves a quantum, only a transfer hops sectors
-        moves[e.a].append((e.b, e.kinds[0]))
-        moves[e.b].append((e.a, e.kinds[0]))
+        moves[e.a].append((e.b, e.kind))
+        moves[e.b].append((e.a, e.kind))
     partners = [[photon_partner(b, ket, u.mode) for ket in b.kets] for u in pulses]
+    # each layer's partner table inverted: adding a quantum never maps two kets to one
+    sources = [{p: ket for ket, p in enumerate(table) if p is not None} for table in partners]
 
     def steps(ket: int, layer: int) -> Iterable[tuple[int, str]]:
         partner = partners[layer][ket] if layer < len(partners) else None
         return moves[ket] if partner is None else chain(moves[ket], ((partner, INJECT),))
 
-    def distances(target: int) -> list[list[float]]:
-        """dist[layer][ket], the fewest moves from a node to the target ket in any layer
-        (inf if none): breadth-first from the target over the reversed moves."""
-        sources: list[dict] = [{} for _ in partners]  # each layer's partner table inverted
-        for layer, table in enumerate(partners):
-            for ket, partner in enumerate(table):
-                sources[layer].setdefault(partner, []).append(ket)
-        dist = [[0 if k == target else INF for k in range(g.n)] for _ in range(len(partners) + 1)]
-        queue = deque((target, layer) for layer in range(len(dist)))
-        while queue:
-            ket, layer = queue.popleft()
-            back = [(k, layer) for k, _ in moves[ket]]
-            back += [(k, layer - 1) for k in sources[layer - 1].get(ket, ())] if layer else []
-            for k, prior in back:
-                if dist[prior][k] == INF:
-                    dist[prior][k] = dist[layer][ket] + 1
-                    queue.append((k, prior))
-        return dist
+    def back(ket: int, layer: int) -> Iterable[tuple[int, str]]:
+        source = sources[layer - 1].get(ket) if layer else None
+        return moves[ket] if source is None else chain(moves[ket], ((source, INJECT),))
 
-    return steps, distances
+    return steps, back
 
 
-def _bfs(steps: Steps, start: int, target: Optional[int] = None) -> tuple[dict, Optional[tuple]]:
-    """Breadth-first search over (ket, pulse layer) nodes from (start, 0).
-
-    Returns the parent map {node: (parent, step kind)} of the nodes reached,
-    None for the start, and the first node whose ket is ``target``.
-    """
-    init = (start, 0)
-    prev: dict = {init: None}
-    queue = deque([init])
+def _bfs(steps: Steps, sources: Iterable[tuple[int, int]], sign: int = 1) -> dict:
+    """Breadth-first search over (ket, pulse layer) nodes from all ``sources`` at once, where
+    an injection moves a node ``sign`` layers (-1 over reversed moves): the parent map
+    {node: (parent, step kind)} of the nodes reached, in visit order, None for a source."""
+    prev: dict = dict.fromkeys(sources)
+    queue = deque(prev)
     while queue:
         ket, layer = node = queue.popleft()
-        if ket == target:
-            return prev, node
         for nxt, kind in steps(ket, layer):
-            step = (nxt, layer + (kind == INJECT))
+            step = (nxt, layer + sign * (kind == INJECT))
             if step not in prev:
                 prev[step] = (node, kind)
                 queue.append(step)
-    return prev, None
+    return prev
 
 
 def _qpath(b: BasisSet, pulses: Sequence[PulseDecl], kets: list[int], kinds: list[str]) -> QPath:
@@ -170,20 +145,16 @@ def reachable(
     scheduled pulse moves a frontier ket to its photon-added partner
     (when present) and opens the next layer. The witness is a shortest
     walk over (ket, pulse layer) nodes. Start equal to target is
-    trivially reachable with an empty path.
+    trivially reachable with an empty path. It is ``witnesses`` for one target.
     """
-    prev, goal = _bfs(_layered(g, b, pulses)[0], start, target)
-    return (False, None) if goal is None else (True, _witness(b, pulses, prev, goal))
+    witness = witnesses(g, b, start, (target,), pulses)[target]
+    return witness is not None, witness
 
 
 def witnesses(g: CouplingGraph, b: BasisSet, start: int, targets: Iterable[int],
               pulses: Sequence[PulseDecl] = ()) -> dict[int, Optional[QPath]]:
-    """``reachable``'s witness for each target (None if unreachable), from one search.
-
-    A target's witness ends at its first node in the search order, the node
-    at which ``reachable`` stops, so both give the same witness.
-    """
-    prev, _ = _bfs(_layered(g, b, pulses)[0], start)
+    """``reachable``'s witness for each target (None if unreachable), from one search."""
+    prev = _bfs(_layered(g, b, pulses)[0], [(start, 0)])
     first = {node[0]: node for node in reversed(prev)}  # the earliest node of each ket wins
     return {t: _witness(b, pulses, prev, first[t]) if t in first else None for t in targets}
 
@@ -191,8 +162,7 @@ def witnesses(g: CouplingGraph, b: BasisSet, start: int, targets: Iterable[int],
 def reachable_set(g: CouplingGraph, b: BasisSet, start: int,
                   pulses: Sequence[PulseDecl] = ()) -> set[int]:
     """All kets reachable from the start across every pulse layer."""
-    prev, _ = _bfs(_layered(g, b, pulses)[0], start)
-    return {ket for ket, _ in prev}
+    return {ket for ket, _ in _bfs(_layered(g, b, pulses)[0], [(start, 0)])}
 
 
 def enumerate_qpaths(
@@ -215,8 +185,12 @@ def enumerate_qpaths(
     paths, kets, kinds, visited = [], [start], [], {start}
     if start == target:
         return [_qpath(b, pulses, kets, kinds)], False
-    steps, distances = _layered(g, b, pulses)
-    dist = distances(target)
+    steps, back = _layered(g, b, pulses)
+    # dist[layer][ket]: the fewest moves from a node to the target ket in any layer (inf if
+    # none), from the target's nodes over the reversed moves; a parent precedes its children
+    dist = [[INF] * g.n for _ in range(len(pulses) + 1)]
+    for (ket, layer), parent in _bfs(back, [(target, n) for n in range(len(dist))], -1).items():
+        dist[layer][ket] = 0 if parent is None else dist[parent[0][1]][parent[0][0]] + 1
     if dist[0][start] == INF:
         return [], False
     truncated = False
@@ -238,6 +212,8 @@ def enumerate_qpaths(
                 visited.add(nxt)
                 stack.append((iter(steps(nxt, step)), step))
                 break
+            if len(paths) == MAX_PATHS:
+                raise ValueError(f"q-path enumeration exceeds {MAX_PATHS} paths")
             paths.append(_qpath(b, pulses, kets, kinds))
             kets.pop()
             kinds.pop()

@@ -395,9 +395,11 @@ def evolve(
     if any(t0 > t1 for t0, t1 in zip(times, times[1:])):
         raise ValueError("pulse times must be sorted")
     t0 = c0.time
-    # a pulse goes in at the first boundary t0 + k*dt at or after its time
-    at = [max(0, math.ceil((t - t0 - 1e-12) / dt)) for t in times]
-    if any(t < t0 or k > n_steps - 1 for t, k in zip(times, at)):
+    # a pulse goes in at the first boundary t0 + k*dt at or after its time; one outside
+    # [t0, t0 + t_end], or nan, is out of the window before its boundary can overflow
+    at = [max(0, math.ceil((t - t0 - 1e-12) / dt)) if 0 <= t - t0 <= t_end else n_steps
+          for t in times]
+    if any(k >= n_steps for k in at):
         raise ValueError(
             "pulse times must lie within [start, start + t_end - dt] = "
             f"[{t0:g}, {t0 + t_end - dt:g}]"

@@ -115,6 +115,21 @@ def test_paths_to_a_closed_target_are_not_truncated(capsys, argv):
     assert '"reachable": false' in out and '"truncated": false' in out
 
 
+@pytest.mark.parametrize("ceiling, code", [(1000, 1), (1241, 0)])
+def test_paths_exit_one_only_past_the_path_ceiling(capsys, monkeypatch, ceiling, code):
+    import qstitch.pathways as pathways
+
+    monkeypatch.setattr(pathways, "MAX_PATHS", ceiling)
+    argv = ["paths", TWO, "--from", "Z.S0+wZ01", "--to", "E.S0+wE01+wEt", "--max-len", "12"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == "error: q-path enumeration exceeds 1000 paths\n"
+    else:
+        assert len(json.loads(captured.out)["paths"]) == 1241
+
+
 def test_paths_trivial_when_from_equals_to(capsys):
     assert main(["paths", ONE, "--from", "Z.S1", "--to", "Z.S1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -173,6 +188,20 @@ def test_evolve_rejects_runs_that_would_drop_a_pulse(tmp_path, capsys, scheme, f
     assert main(["evolve", scheme, "--out", str(tmp_path / "r"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.report.json").exists()
+
+
+def test_evolve_pulse_time_too_large_for_its_boundary_exits_one(tmp_path, capsys):
+    path, _ = _two_photon_with(tmp_path, "push time=1e308")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    # its boundary ceil(1e308 / 0.25) would overflow; the window check comes first
+    assert main(["evolve", path, "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: pulse times must lie within [start, start + t_end - dt] = [0, 599.75]\n"
+    )
     assert not (tmp_path / "r.report.json").exists()
 
 

@@ -46,7 +46,7 @@ def _operator_lines(b, s, delta=None):
     op = assemble(b, s, delta)
     yield f"V {op.V.dtype} {op.V.shape} {_sha(op.V.tobytes())}"
     yield f"H {op.H.dtype} {_sha(op.H.tobytes())}"
-    yield from (f"edge {e.a} {e.b} {e.kinds}" for e in build_graph(op).edges)
+    yield from (f"edge {e.a} {e.b} {(e.kind,)}" for e in build_graph(op).edges)
     yield json.dumps(operator_dump(op), sort_keys=True)
     for blk in op.eigenblocks():
         yield f"block {blk.kets.tolist()} {_sha(blk.w.tobytes())}"

@@ -54,6 +54,13 @@ def test_edge_count_mirrors_upper_triangle():
         assert len(g.edges) == int(np.count_nonzero(upper))
 
 
+def test_graph_edges_are_the_operator_entries(two_photon):
+    op = assemble(scenario_basis(two_photon), two_photon)
+    g = build_graph(op)
+    assert g.edges is op.entries
+    assert {e.kind for e in g.edges} == {"dipole", "spinorbit", "transfer"}
+
+
 def test_start_equals_target_is_trivially_reachable(one_photon):
     b = scenario_basis(one_photon)
     op = assemble(b, one_photon)

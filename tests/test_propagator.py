@@ -336,6 +336,16 @@ def test_pulse_window_starts_at_the_start_time(two_photon):
     assert [e["time"] for e in traj.events if e["type"] == "pulse"] == [14.75]
 
 
+@pytest.mark.parametrize("t", [1e308, float("inf"), float("-inf"), float("nan")])
+def test_pulse_time_too_large_or_not_finite_is_out_of_the_window(two_photon, t):
+    b = scenario_basis(two_photon)
+    op = assemble(b, two_photon)
+    c = prepare(b, {"Z.S0+wZ01": 1.0})
+    push = two_photon.pulses[0].mode
+    with pytest.raises(ValueError, match=r"^pulse times must lie within .* = \[0, 9\.75\]$"):
+        evolve(c, op, pulses=[PulseDecl(mode=push, time=t)], t_end=10.0, dt=0.25)
+
+
 def test_pulse_on_a_boundary_goes_in_on_time(two_photon):
     # 2000 accumulated steps of 0.1 read 199.99999999999292, one step short
     b = scenario_basis(two_photon)
