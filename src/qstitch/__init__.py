@@ -20,7 +20,7 @@ _HOME = {name: module for module, names in {
     "basis": ("BasisKet", "BasisSet", "SECTOR_ENTANGLED", "SECTOR_PRODUCT",
               "apply_two_photon_extensions", "build_entanglement_unit", "enumerate_basis",
               "extend_two_photon", "ket_name", "parse_ket_spec", "photon_partner",
-              "scenario_basis", "total_energy"),
+              "scenario_basis"),
     "operators": ("OperatorPair", "SelectionVerdict", "assemble", "operator_dump",
                   "selection_check"),
     "pathways": ("CouplingGraph", "QPath", "build_graph", "enumerate_qpaths", "photon_budget",

@@ -64,11 +64,6 @@ class BasisKet:
         return sum(n for _, n in self.photons)
 
 
-def total_energy(ket: BasisKet) -> float:
-    """Total energy of a ket: matter energy + sum of occupied quanta."""
-    return ket.energy
-
-
 def make_ket(
     matter: LevelLabel,
     photons: Mapping[str, int],
@@ -131,19 +126,10 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.kets)
 
-    def __iter__(self):
-        return iter(self.kets)
-
-    def index_of(self, ket: BasisKet) -> int:
-        return self.index[ket]
-
     @cached_property
     def ket_names(self) -> tuple[str, ...]:
         """Canonical names in basis order, built once per basis."""
         return tuple(ket_name(k) for k in self.kets)
-
-    def names(self) -> list[str]:
-        return list(self.ket_names)
 
     def find(self, spec: Union[int, str, BasisKet]) -> int:
         """Resolve a ket given as index, canonical name, or ket value."""
@@ -227,27 +213,22 @@ def _unit_kets(ground: LevelLabel, excited: LevelLabel, mode: PhotonMode) -> tup
     )
 
 
-def build_entanglement_unit(
-    ground: LevelLabel,
-    excited: LevelLabel,
-    mode: PhotonMode,
-    tolerance: float = 1e-6,
-) -> BasisSet:
+def build_entanglement_unit(ground: LevelLabel, excited: LevelLabel, mode: PhotonMode) -> BasisSet:
     """Build the four-ket coherence cell over one gap.
 
     Returned order: |excited> x |0>, |ground> x |1>, |ground;1>, |excited;0>.
-    The gap must match the mode quantum within ``tolerance``; at exact
-    resonance all four kets are degenerate.
+    The gap must match the mode quantum within the resonance tolerance of
+    the unit's scheme; at exact resonance all four kets are degenerate.
     """
+    s = Scheme(families=tuple(dict.fromkeys((ground.family, excited.family))),
+               levels=(ground, excited), modes=(mode,))
     detuning = (excited.energy - ground.energy) - mode.omega
-    if abs(detuning) > tolerance:
+    if abs(detuning) > s.resonance_tolerance:
         raise ValueError(
             f"off-resonance: gap {ground.ref} -> {excited.ref} detuned from "
-            f"{mode.id} by {detuning:g} (tolerance {tolerance:g})"
+            f"{mode.id} by {detuning:g} (tolerance {s.resonance_tolerance:g})"
         )
-    return BasisSet(kets=_unit_kets(ground, excited, mode), scheme=Scheme(
-        families=tuple(dict.fromkeys((ground.family, excited.family))),
-        levels=(ground, excited), modes=(mode,)))
+    return BasisSet(kets=_unit_kets(ground, excited, mode), scheme=s)
 
 
 def _gap_units(s: Scheme) -> list[tuple[LevelLabel, LevelLabel, PhotonMode]]:
@@ -399,31 +380,26 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
     """
     modes = s.modes_by_id
     cap = s.max_photons
-    # matter level -> (other level, mode, quanta moved) of each legal coupling step
-    steps: dict[LevelLabel, list[tuple[LevelLabel, Optional[str], int]]] = {}
+    # matter level -> (level after the step, mode, quanta moved, gated) of each
+    # step from it: the ungated pulse partners, then each legal coupling step
+    steps = {lv: [(lv, u.mode.id, 1, False) for u in s.pulses] for lv in s.levels}
     for c in s.couplings:
         if level_violation(c.kind, c.a, c.b) is None:
             shifts = [(c.mode.id, 1), (c.mode.id, -1)] if c.kind == "dipole" else [(None, 0)]
             for here, other in ((c.a, c.b), (c.b, c.a)):
-                steps.setdefault(here, []).extend((other, m, d) for m, d in shifts)
+                steps.setdefault(here, []).extend((other, m, d, True) for m, d in shifts)
 
     pool = _seed_kets(s)
     work = list(pool)
     for ket in work:  # the worklist grows as it is walked; each ket is expanded once
-        found = []
-        for pulse in s.pulses:
-            occ = _shifted(ket, pulse.mode.id, 1, cap)
-            if occ is not None:
-                found.append(make_ket(ket.matter, occ, ket.sector, ket.stitches, modes))
-        for other, mode_id, delta in steps.get(ket.matter, ()):
+        for other, mode_id, delta, gated in steps.get(ket.matter, ()):
             occ = _shifted(ket, mode_id, delta, cap)
             if occ is None:
                 continue
             cand = make_ket(other, occ, ket.sector, ket.stitches, modes)
-            gated = abs(cand.energy - ket.energy) <= s.gate_tolerance
-            if gated and _stitch_consistent(cand, s):
-                found.append(cand)
-        for cand in found:
+            if gated and not (abs(cand.energy - ket.energy) <= s.gate_tolerance
+                              and _stitch_consistent(cand, s)):
+                continue
             if cand not in pool:
                 pool[cand] = None
                 work.append(cand)
@@ -431,23 +407,22 @@ def scenario_basis(s: Scheme, two_photon: bool = True) -> BasisSet:
             raise ValueError(f"scenario basis exceeds {MAX_SCENARIO_KETS} kets")
 
     b = _sorted_basis(s, pool)
-    return apply_two_photon_extensions(b, s) if two_photon else b
+    return apply_two_photon_extensions(b) if two_photon else b
 
 
-def apply_two_photon_extensions(
-    b: BasisSet, s: Scheme, modes: Optional[Iterable[PhotonMode]] = None
-) -> BasisSet:
+def apply_two_photon_extensions(b: BasisSet,
+                                modes: Optional[Iterable[PhotonMode]] = None) -> BasisSet:
     """Stitch every applicable (root, mode) pair onto the basis.
 
     Roots are entangled kets with all stitch quanta absorbed (all
     occupations zero); each mode that lifts a root's matter level onto
     another level of the same family appends the corresponding stitched
     ket. Modes are taken in order, and kets stitched for one mode are
-    roots for the next. Modes default to the scheme's scheduled pulses,
-    so this is a no-op for pulse-free schemes.
+    roots for the next. Modes default to the pulses scheduled in the
+    basis' scheme, so this is a no-op for pulse-free schemes.
     """
     if modes is None:
-        modes = [p.mode for p in s.pulses]
+        modes = [p.mode for p in b.scheme.pulses]
     kets = dict.fromkeys(b.kets)
     for mode in modes:
         for root in list(kets):

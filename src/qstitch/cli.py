@@ -97,7 +97,7 @@ def cmd_basis(args) -> int:
     b = scenario_basis(scheme) if args.full else basis_mod.enumerate_basis(scheme)
     if args.two_photon is not None:
         modes = [scheme.mode(m) for m in args.two_photon] if args.two_photon else None
-        b = basis_mod.apply_two_photon_extensions(b, scheme, modes)
+        b = basis_mod.apply_two_photon_extensions(b, modes)
     rows = _basis_rows(b)
     if args.format == "json":
         print(json.dumps({"schema": 1, "size": len(rows), "kets": rows},
@@ -241,6 +241,13 @@ def cmd_evolve(args) -> int:
         _default_preparation(scheme, b): 1.0
     }
     state = prepare(b, prep_spec)
+    watch = []
+    for name in args.watch or ():
+        try:
+            watch.append(b.ket_names[b.find(name)])
+        except (KeyError, ValueError) as exc:
+            print(f"error: unknown --watch ket {name!r}: {_error_text(exc)}", file=sys.stderr)
+            return EXIT_DOMAIN
 
     start = int(state.populations().argmax())
     monitored = {d.id: monitored_kets(b, d) for d in scheme.detectors}
@@ -269,10 +276,7 @@ def cmd_evolve(args) -> int:
     csv_path = out_prefix.with_suffix(".trajectory.csv")
     report_path = out_prefix.with_suffix(".report.json")
     try:
-        _write_csv(csv_path, traj, watch=args.watch or None)
-    except ValueError as exc:
-        print(f"error: unknown --watch ket: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        _write_csv(csv_path, traj, watch)
     except OSError as exc:
         return _cannot_write(csv_path, exc)
 

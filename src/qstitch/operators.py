@@ -200,7 +200,8 @@ def selection_check(
     a: BasisKet,
     b: BasisKet,
     mode: Optional[str] = None,
-    gate_tolerance: float = 1e-6,
+    *,
+    gate_tolerance: float,
 ) -> SelectionVerdict:
     """Decide whether a coupling of ``kind`` may connect two basis kets.
 
@@ -267,18 +268,18 @@ def selection_check(
     return SelectionVerdict(True)
 
 
-def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorPair:
+def assemble(b: BasisSet, s: Scheme) -> OperatorPair:
     """Assemble H and V for a basis enumerated from a scheme.
 
     Every declared coupling is expanded over all ket pairs whose matter
-    labels match its endpoints; pairs that fail any rule are skipped
-    (gated pairs are exact zeros). A coupling that induces no pair at all
-    is reported as a dead-coupling warning. ``entries`` holds each ket
-    pair once, with the sum of its weights, and is the only stored form of V.
+    labels match its endpoints; pairs that fail any rule, the scheme's
+    energy gate included, are skipped (gated pairs are exact zeros). A
+    coupling that induces no pair at all is reported as a dead-coupling
+    warning. ``entries`` holds each ket pair once, with the sum of its
+    weights, and is the only stored form of V.
     """
-    if delta is None:
-        delta = s.gate_tolerance
-    if delta <= 0:
+    gate = s.gate_tolerance
+    if gate <= 0:
         raise ValueError("gate tolerance must be positive")
 
     H = np.array([k.energy for k in b.kets], dtype=float)
@@ -298,7 +299,7 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
             for j in by_matter.get(c.b, []):
                 lo, hi = (i, j) if i < j else (j, i)
                 verdict = selection_check(
-                    c.kind, b.kets[lo], b.kets[hi], mode=mode_id, gate_tolerance=delta
+                    c.kind, b.kets[lo], b.kets[hi], mode=mode_id, gate_tolerance=gate
                 )
                 if not verdict.allowed:
                     continue
@@ -327,13 +328,13 @@ def assemble(b: BasisSet, s: Scheme, delta: Optional[float] = None) -> OperatorP
             continue
         root = b.modes[ket.stitches[0]]
         tau = s.transfer_strength(root)
-        if tau and selection_check("transfer", b.kets[j], ket, gate_tolerance=delta).allowed:
+        if tau and selection_check("transfer", b.kets[j], ket, gate_tolerance=gate).allowed:
             pairs.setdefault((min(i, j), max(i, j)), ["transfer", root.id, 0j])[2] += tau
 
     # a pair whose weights cancel is no coupling
     entries = tuple(VEntry(lo, hi, kind, weight, mode)
                     for (lo, hi), (kind, mode, weight) in sorted(pairs.items()) if weight != 0)
-    return OperatorPair(basis=b, H=H, gate=delta, entries=entries, warnings=warnings)
+    return OperatorPair(basis=b, H=H, gate=gate, entries=entries, warnings=warnings)
 
 
 def operator_dump(op: OperatorPair) -> dict:

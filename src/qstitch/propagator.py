@@ -85,19 +85,23 @@ class Trajectory:
 def prepare(b: BasisSet, spec: Mapping[Union[int, str, BasisKet], complex]) -> StateVector:
     """Build the normalized start vector from named amplitude assignments.
 
-    The assignment keys are basis indices, canonical ket names, or kets,
-    and the amplitudes must be finite. The vector is normalized;
-    preparation is logged as a '+' transfer by ``evolve``, not stored in
-    the vector itself.
+    The assignment keys are basis indices, canonical ket names, or kets;
+    two keys may not name one ket, and the amplitudes must be finite. The
+    vector is normalized; preparation is logged as a '+' transfer by
+    ``evolve``, not stored in the vector itself.
     """
     if not spec:
         raise ValueError("empty preparation: assign at least one amplitude")
     amps = np.zeros(len(b), dtype=complex)
+    assigned: set[int] = set()
     for key, value in spec.items():
         i, amp = b.find(key), complex(value)
+        if i in assigned:
+            raise ValueError(f"preparation assigns {b.ket_names[i]} twice")
         if not np.isfinite(amp):
             raise ValueError(f"preparation amplitude for {key} must be finite, got {value}")
-        amps[i] += amp
+        assigned.add(i)
+        amps[i] = amp
     # scaled by the largest magnitude first: the norm of amplitudes above
     # about 1e154 overflows
     peak = np.abs(amps).max()
@@ -407,7 +411,7 @@ def evolve(
 
     b = op.basis
     n = len(b)
-    names = b.names()
+    names = list(b.ket_names)
     rng = np.random.default_rng(seed)
     amps = np.asarray(c0.amplitudes, dtype=complex)
     if not amps.any():

@@ -18,7 +18,6 @@ from qstitch import (
     parse_ket_spec,
     photon_partner,
     scenario_basis,
-    total_energy,
 )
 from qstitch.basis import MAX_SCENARIO_KETS, BasisSet, make_ket
 from qstitch.scheme import LevelLabel, PhotonMode, Scheme
@@ -88,7 +87,7 @@ def test_single_level_scheme_yields_one_bare_ket():
     b = enumerate_basis(s)
     assert len(b) == 1
     assert ket_name(b.kets[0]) == "A.G"
-    assert total_energy(b.kets[0]) == 0.0
+    assert b.kets[0].energy == 0.0
 
 
 def test_enumeration_is_deterministic(one_photon):
@@ -100,7 +99,7 @@ def test_enumeration_is_deterministic(one_photon):
 def test_index_is_bijection_on_random_schemes():
     for seed in range(12):
         b = scenario_basis(random_scheme(seed))
-        indices = [b.index_of(k) for k in b.kets]
+        indices = [b.index[k] for k in b.kets]
         assert indices == list(range(len(b)))
 
 
@@ -193,14 +192,14 @@ def test_total_energy_is_linear_in_occupations():
     for na in range(3):
         for nb in range(3):
             k = make_ket(g, {"a": na, "b": nb}, SECTOR_PRODUCT, (), modes)
-            assert total_energy(k) == pytest.approx(0.25 + na * 0.4 + nb * 1.1, abs=1e-15)
+            assert k.energy == pytest.approx(0.25 + na * 0.4 + nb * 1.1, abs=1e-15)
 
 
 def test_resonant_pair_energies_match(unit_scheme):
     b = enumerate_basis(unit_scheme)
     dressed = b.kets[b.find("A.G+w")]
     bare = b.kets[b.find("A.X")]
-    assert total_energy(dressed) == pytest.approx(total_energy(bare), abs=1e-15)
+    assert dressed.energy == pytest.approx(bare.energy, abs=1e-15)
 
 
 # -- naming and partners -----------------------------------------------------
@@ -261,7 +260,7 @@ def test_unit_spawns_at_exactly_the_tolerance(energy, inside):
     s = _boundary_scheme(f"""[family A]
         G j=0 g=0 term=Sigma spin=1 energy=0.0
         X j=1 g=0 term=Pi spin=1 energy={energy!r}""", "w omega=1.0")
-    names = set(enumerate_basis(s).names())
+    names = set(enumerate_basis(s).ket_names)
     assert names == ({"A.X", "A.G+w", "A.G;1_w", "A.X;0_w"} if inside else {"A.G"})
 
 
@@ -278,7 +277,7 @@ def test_stitch_consistency_holds_at_exactly_the_tolerance(energy, inside):
         [family B]
         L j=0 g=0 term=Sigma spin=1 energy={energy!r}""", "w omega=1.0",
                          "spinorbit A.X A.T strength=0.01")
-    names = scenario_basis(s, two_photon=False).names()
+    names = scenario_basis(s, two_photon=False).ket_names
     assert "A.T" in names
     assert ("A.T;0_w" in names) is inside
 
@@ -293,8 +292,8 @@ def test_stitch_lands_at_exactly_the_tolerance(energy, inside):
         X j=1 g=0 term=Pi spin=1 energy=1.0
         U j=2 g=0 term=Sigma spin=1 energy={energy!r}""", "w omega=1.0\n        p omega=0.5")
     b = enumerate_basis(s)
-    extended = apply_two_photon_extensions(b, s, [s.mode("p")])
-    assert extended.names()[len(b):] == (["A.U;0_w,0_p"] if inside else [])
+    extended = apply_two_photon_extensions(b, [s.mode("p")])
+    assert list(extended.ket_names[len(b):]) == (["A.U;0_w,0_p"] if inside else [])
 
 
 # -- closure growth -------------------------------------------------------------

@@ -179,6 +179,15 @@ def test_evolve_prepare_naming_a_ket_twice_exits_one(tmp_path, capsys):
     assert not (tmp_path / "r.report.json").exists()
 
 
+def test_evolve_prepare_naming_a_ket_twice_in_two_spellings_exits_one(tmp_path, capsys):
+    spec = "Z.S0+wZ01=1;Z.S0+1*wZ01=1"
+    assert main(["evolve", ONE, "--prepare", spec, "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: preparation assigns Z.S0+wZ01 twice\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "scheme, flags",
     [(TWO, ["--t-end", "200"]), (ONE, ["--t-end", "1.0", "--dt", "0.4"])],
@@ -553,6 +562,34 @@ def test_subcommands_never_build_the_dense_v(tmp_path, capsys, monkeypatch, sche
                  ["evolve", scheme, "--out", str(tmp_path / "r")]):
         assert main(argv) == 0
     capsys.readouterr()
+
+
+def test_evolve_watch_accepts_every_spelling_of_a_ket(tmp_path, capsys):
+    for prefix, spelling in (("canonical", "Z.S0+wZ01"), ("spelled", " Z.S0+1*wZ01 ")):
+        assert main(["evolve", ONE, "--t-end", "40", "--watch", spelling, "--watch", "Z.S1",
+                     "--out", str(tmp_path / prefix)]) == 0
+    capsys.readouterr()
+    canonical, spelled = ((tmp_path / f"{p}.trajectory.csv").read_bytes()
+                          for p in ("canonical", "spelled"))
+    assert spelled == canonical
+    assert canonical.startswith(b"t,norm,energy,Z.S0+wZ01,Z.S1\r\n")
+
+
+def test_evolve_unknown_watch_ket_exits_one_before_the_run(tmp_path, capsys, monkeypatch):
+    import qstitch.propagator as propagator
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an unknown --watch ket must be rejected before the run")
+
+    monkeypatch.setattr(propagator, "evolve", no_run)
+    code = main(["evolve", ONE, "--watch", "Z.S1", "--watch", "Z.S0+2*wZ01",
+                 "--out", str(tmp_path / "w")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: unknown --watch ket 'Z.S0+2*wZ01': "
+                            "ket Z.S0+2*wZ01 not in basis\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_evolve_unknown_watch_ket_exits_one_and_writes_nothing(tmp_path, capsys):

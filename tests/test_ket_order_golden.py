@@ -64,10 +64,10 @@ def _variants(s: Scheme) -> dict:
         "scenario": scenario_basis(s),
         "scenario-one-photon": scenario_basis(s, two_photon=False),
         "enumerate": enumerate_basis(s),
-        "two-photon-default": apply_two_photon_extensions(enumerate_basis(s), s),
-        "two-photon-all": apply_two_photon_extensions(enumerate_basis(s), s, all_modes),
+        "two-photon-default": apply_two_photon_extensions(enumerate_basis(s)),
+        "two-photon-all": apply_two_photon_extensions(enumerate_basis(s), all_modes),
         "closed-two-photon-all": apply_two_photon_extensions(
-            scenario_basis(s, two_photon=False), s, all_modes
+            scenario_basis(s, two_photon=False), all_modes
         ),
     }
 

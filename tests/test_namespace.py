@@ -17,7 +17,7 @@ EXPORTS = {
     "basis": ["BasisKet", "BasisSet", "SECTOR_ENTANGLED", "SECTOR_PRODUCT",
               "apply_two_photon_extensions", "build_entanglement_unit", "enumerate_basis",
               "extend_two_photon", "ket_name", "parse_ket_spec", "photon_partner",
-              "scenario_basis", "total_energy"],
+              "scenario_basis"],
     "operators": ["OperatorPair", "SelectionVerdict", "assemble", "operator_dump",
                   "selection_check"],
     "pathways": ["CouplingGraph", "QPath", "build_graph", "enumerate_qpaths", "photon_budget",
@@ -37,7 +37,7 @@ TWO = str(SCHEMES / "two_photon.scheme")
 
 
 def test_every_export_is_its_home_module_object():
-    assert len(NAMES) == len(set(NAMES)) == 46
+    assert len(NAMES) == len(set(NAMES)) == 45
     for module, names in EXPORTS.items():
         home = importlib.import_module(f"qstitch.{module}")
         for name in names:

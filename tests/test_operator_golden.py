@@ -43,7 +43,7 @@ def _sha(data: bytes) -> str:
 
 
 def _operator_lines(b, s, delta=None):
-    op = assemble(b, s, delta)
+    op = assemble(b, s if delta is None else dataclasses.replace(s, gate_tolerance=delta))
     yield f"V {op.V.dtype} {op.V.shape} {_sha(op.V.tobytes())}"
     yield f"H {op.H.dtype} {_sha(op.H.tobytes())}"
     yield from (f"edge {e.a} {e.b} {(e.kind,)}" for e in build_graph(op).edges)

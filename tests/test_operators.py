@@ -1,5 +1,7 @@
 """Selection rules, operator assembly, gate soundness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from qstitch import (
     scenario_basis,
     selection_check,
 )
-from qstitch.basis import SECTOR_ENTANGLED, SECTOR_PRODUCT, make_ket
+from qstitch.basis import SECTOR_ENTANGLED, SECTOR_PRODUCT, _stitch_consistent, ket_name, make_ket
 from qstitch.operators import VEntry, operator_dump
-from qstitch.scheme import LevelLabel, PhotonMode
+from qstitch.scheme import LevelLabel, PhotonMode, level_violation
 
-from conftest import TWO_LEVEL_TEXT, parse_ok, random_scheme
+from conftest import SCHEMES, TWO_LEVEL_TEXT, load_scheme, parse_ok, random_scheme
+from test_ket_order_golden import SHIPPED, _synth
 
 
 def _ket(term, spin, energy, occ, modes, sector=SECTOR_PRODUCT, stitches=(), j=0):
@@ -178,8 +181,8 @@ def test_hermiticity_and_gate_are_exact(two_photon):
 
 def test_shrinking_gate_never_adds_entries(two_photon):
     b = scenario_basis(two_photon)
-    wide = assemble(b, two_photon, delta=1e-3)
-    narrow = assemble(b, two_photon, delta=1e-7)
+    wide = assemble(b, replace(two_photon, gate_tolerance=1e-3))
+    narrow = assemble(b, replace(two_photon, gate_tolerance=1e-7))
     wide_nz = set(zip(*np.nonzero(wide.V)))
     narrow_nz = set(zip(*np.nonzero(narrow.V)))
     assert narrow_nz <= wide_nz
@@ -220,6 +223,54 @@ def test_cross_family_entries_only_from_declared_couplings():
             fa, fb = b.kets[i].matter.family, b.kets[j].matter.family
             if fa != fb:
                 assert frozenset((fa, fb)) in declared_cross
+
+
+def _closure_coupling_steps(s):
+    """Each step of a legal coupling from a ket of the closure without the
+    two-photon extension that passes the gate and stays stitch-consistent,
+    as (ket, ket after the step)."""
+    for ket in scenario_basis(s, two_photon=False).kets:
+        for c in s.couplings:
+            if level_violation(c.kind, c.a, c.b) is not None:
+                continue
+            for here, other in ((c.a, c.b), (c.b, c.a)):
+                if ket.matter != here:
+                    continue
+                for delta in (1, -1) if c.kind == "dipole" else (0,):
+                    occ = dict(ket.photons)
+                    if delta:
+                        occ[c.mode.id] = occ.get(c.mode.id, 0) + delta
+                        if not 0 <= occ[c.mode.id] <= s.max_photons:
+                            continue
+                    step = make_ket(other, occ, ket.sector, ket.stitches, s.modes_by_id)
+                    if (abs(step.energy - ket.energy) <= s.gate_tolerance
+                            and _stitch_consistent(step, s)):
+                        yield ket, step
+
+
+def _step_schemes(group):
+    if group == "shipped":
+        return [replace(load_scheme(SCHEMES / f"{name}.scheme"), max_photons=cap)
+                for name in SHIPPED for cap in (1, 2, 3)]
+    if group == "synthetic":
+        synth = _synth()
+        return [parse_ok(synth.synthetic_scheme(n, np.random.default_rng(0))) for n in (2, 4, 8)]
+    return [random_scheme(seed) for seed in range(100)]
+
+
+@pytest.mark.parametrize("group", ["shipped", "synthetic", "corpus"])
+def test_every_closure_coupling_step_is_an_entry_of_v(group):
+    # the closure and assemble read one gate, so a step that brought a ket
+    # into the basis is a coupling of V
+    steps = 0
+    for s in _step_schemes(group):
+        b = scenario_basis(s)
+        pairs = {(e.a, e.b) for e in assemble(b, s).entries}
+        for ket, step in _closure_coupling_steps(s):
+            assert tuple(sorted((b.index[ket], b.index[step]))) in pairs, \
+                (ket_name(ket), ket_name(step))
+            steps += 1
+    assert steps
 
 
 def test_operator_dump_mirrors_matrix(two_photon):

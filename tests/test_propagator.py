@@ -63,6 +63,14 @@ def test_prepare_rejects_unknown_and_empty(one_photon):
         prepare(b, {"Z.S1": 0.0})
 
 
+def test_prepare_rejects_two_keys_naming_one_ket(one_photon):
+    b = enumerate_basis(one_photon)
+    i = b.find("Z.S0+wZ01")
+    for spec in ({"Z.S0+wZ01": 1.0, "Z.S0+1*wZ01": 1.0}, {i: 1.0, b.kets[i]: 0.5}):
+        with pytest.raises(ValueError, match=r"^preparation assigns Z\.S0\+wZ01 twice$"):
+            prepare(b, spec)
+
+
 def test_diagonal_phase_rotation(two_level):
     # kill the coupling so evolution is purely diagonal
     import dataclasses

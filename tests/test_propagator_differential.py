@@ -35,7 +35,7 @@ def _oracle_evolve(c0, op, pulses, detectors, t_end, dt, sample_every, detect_mo
     w, q = np.linalg.eigh(h)
     propagator = q @ np.diag(np.exp(-1j * w * dt)) @ q.conj().T
     rng = np.random.default_rng(seed)
-    names = b.names()
+    names = b.ket_names
     amps, time = c0.amplitudes.copy(), c0.time
     events = [{"type": "prepare", "transfer": "+", "time": time,
                "kets": [names[i] for i in range(len(b)) if abs(amps[i]) > FLOOR]}]
